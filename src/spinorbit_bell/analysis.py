@@ -10,16 +10,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
-import numpy as np
-
 from . import fock
-from .apparatus import ChshSettings, Settings, itot_operator, m_operator
+from .apparatus import ChshSettings, Settings, m_operator
 from .errors import SimulationError
 from .fock import StateEnsemble
 from .states import Family, StateSpec
-
-#: Leakage mass above which a moment evaluation is considered untrustworthy.
-MAX_LEAKAGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -37,10 +32,6 @@ class NoisePoint:
 
     @property
     def var_ratio(self) -> float:
-        return self.var_m / self.itot
-
-    @property
-    def squeezing_ratio(self) -> float:
         """Intensity-difference noise normalized to shot noise."""
         return self.var_m / self.itot
 
@@ -53,7 +44,8 @@ class ChshResult:
 
 
 def total_intensity(ensemble: StateEnsemble) -> float:
-    return fock.expect_one_body(ensemble, itot_operator())
+    """Total photon number, the trace of the moment matrix G."""
+    return float(ensemble.moments[0].trace().real)
 
 
 def noise_point(
@@ -61,28 +53,9 @@ def noise_point(
 ) -> NoisePoint:
     """Mean and mixture-level variance of M at one setting pair.
 
-    A precomputed total intensity may be passed in to avoid re-evaluating the
-    settings-independent normalization during scans.
+    A total intensity the caller already holds may be passed in.
     """
-    op = m_operator(settings)
-    mean = 0.0
-    second = 0.0
-    leaked = 0.0
-    for w, s in ensemble.members:
-        bs = fock.apply_one_body(s, op)
-        leaked += w * bs.leakage
-        m1 = s.overlap(bs)
-        if abs(m1.imag) > 1e-9:
-            raise SimulationError(f"expectation has imaginary residue {m1.imag}")
-        mean += w * m1.real
-        second += w * float(np.vdot(bs.amplitudes, bs.amplitudes).real)
-    if leaked > MAX_LEAKAGE:
-        raise SimulationError(
-            f"truncation leakage {leaked:.3g} exceeds {MAX_LEAKAGE}; enlarge cutoffs"
-        )
-    var = second - mean * mean
-    if var < -1e-9:
-        raise SimulationError(f"negative variance {var}")
+    mean, var = fock.mean_and_variance(ensemble, m_operator(settings))
     if itot is None:
         itot = total_intensity(ensemble)
     return NoisePoint(settings, mean, var, itot)

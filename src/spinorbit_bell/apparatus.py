@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fock import ModeIndex, OneBodyOperator
 
@@ -104,8 +103,7 @@ def eight_mode_m_matrix(settings: Settings) -> OneBodyOperator:
     complementary outputs.
     """
     u = setting_unitary(settings)
-    return OneBodyOperator(scipy.linalg.block_diag(u.T @ _PARITY @ u, -_PARITY))
-
-
-def eight_mode_itot_matrix() -> OneBodyOperator:
-    return OneBodyOperator(np.eye(8))
+    mat = np.zeros((8, 8))
+    mat[:4, :4] = u.T @ _PARITY @ u
+    mat[4:, 4:] = -_PARITY
+    return OneBodyOperator(mat)

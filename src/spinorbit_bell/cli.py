@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 truncation error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -39,32 +40,61 @@ _PI_LITERAL = re.compile(
 )
 
 
+def _finite(value, field: str) -> float:
+    """float(value); a NaN or infinite value is a ConfigError naming the field."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(field, f"expected a finite number, got {value!r}")
+    return x
+
+
+def _number(value, field: str, low, high=math.inf, integer=False, open_low=False):
+    """A finite number in [low, high], or (low, high] if ``open_low``.
+
+    With ``integer`` only ints are accepted; bools never are.
+    """
+    kind = "an integer" if integer else "a real"
+    bounds = f"{'(' if open_low else '['}{low:g}, {high:g}{']' if high < math.inf else ')'}"
+    if isinstance(value, int if integer else (int, float)) and not isinstance(value, bool):
+        x = value if integer else _finite(value, field)
+        if (low < x if open_low else low <= x) and x <= high:
+            return x
+    raise ConfigError(field, f"expected {kind} in {bounds}, got {value!r}")
+
+
 def parse_angle(value, field: str) -> float:
-    """Radians from a number or a pi-rational literal like '3pi/8'."""
+    """Radians from a finite number or a pi-rational literal like '3pi/8'."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _finite(value, field)
     if isinstance(value, str):
         m = _PI_LITERAL.match(value)
         if m:
             sign = -1.0 if m.group(1) else 1.0
             num = float(m.group(2)) if m.group(2) else 1.0
             den = float(m.group(3)) if m.group(3) else 1.0
-            return sign * num * math.pi / den
+            if den == 0.0:
+                raise ConfigError(field, f"zero denominator in angle {value!r}")
+            return _finite(sign * num * math.pi / den, field)
         try:
-            return float(value)
+            angle = float(value)
         except ValueError:
             raise ConfigError(field, f"cannot parse angle {value!r}") from None
+        return _finite(angle, field)
     raise ConfigError(field, f"expected an angle, got {type(value).__name__}")
 
 
 def _parse_complex(value, field: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_finite(value, field))
     if isinstance(value, (list, tuple)) and len(value) == 2:
         try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
+            re_part, im_part = (float(v) for v in value)
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(field, f"cannot parse complex {value!r}") from None
+        return complex(_finite(re_part, field), _finite(im_part, field))
     raise ConfigError(field, "expected a number or a [re, im] pair")
 
 
@@ -106,17 +136,16 @@ class RunConfig:
     format: str
 
 
-_STATE_KEYS = {
-    "family",
-    "n",
-    "p",
-    "u",
-    "reflectivity",
-    "phi",
-    "phase_points",
-    "zeta",
-    "epsilon",
+#: Numeric state keys: (low, high, integer, open_low) as taken by ``_number``.
+_STATE_NUMBERS = {
+    "n": (0, math.inf, True, False),
+    "p": (0.0, 1.0, False, False),
+    "reflectivity": (0.0, 1.0, False, False),
+    "phase_points": (5, math.inf, True, False),
+    "epsilon": (0.0, 1e-3, False, True),
 }
+
+_STATE_KEYS = {"family", "u", "phi", "zeta", *_STATE_NUMBERS}
 
 
 def _parse_state(doc, field: str = "state") -> StateSpec:
@@ -131,37 +160,16 @@ def _parse_state(doc, field: str = "state") -> StateSpec:
         raise ConfigError(
             f"{field}.family", f"unknown family {doc['family']!r}; one of: {names}"
         ) from None
-    kwargs = {}
-    if "n" in doc:
-        if not isinstance(doc["n"], int) or isinstance(doc["n"], bool) or doc["n"] < 0:
-            raise ConfigError(f"{field}.n", "expected a nonnegative integer")
-        kwargs["n"] = doc["n"]
-    if "p" in doc:
-        p = doc["p"]
-        if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0 <= p <= 1:
-            raise ConfigError(f"{field}.p", f"expected a real in [0, 1], got {p!r}")
-        kwargs["p"] = float(p)
-    if "u" in doc:
-        kwargs["u"] = _parse_complex(doc["u"], f"{field}.u")
-    if "reflectivity" in doc:
-        r = doc["reflectivity"]
-        if not isinstance(r, (int, float)) or isinstance(r, bool) or not 0 <= r <= 1:
-            raise ConfigError(f"{field}.reflectivity", f"expected a real in [0, 1], got {r!r}")
-        kwargs["reflectivity"] = float(r)
+    kwargs = {
+        key: _number(doc[key], f"{field}.{key}", *bounds)
+        for key, bounds in _STATE_NUMBERS.items()
+        if key in doc
+    }
+    for key in ("u", "zeta"):
+        if key in doc:
+            kwargs[key] = _parse_complex(doc[key], f"{field}.{key}")
     if "phi" in doc:
         kwargs["phi"] = parse_angle(doc["phi"], f"{field}.phi")
-    if "phase_points" in doc:
-        k = doc["phase_points"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 5:
-            raise ConfigError(f"{field}.phase_points", "expected an integer >= 5")
-        kwargs["phase_points"] = k
-    if "zeta" in doc:
-        kwargs["zeta"] = _parse_complex(doc["zeta"], f"{field}.zeta")
-    if "epsilon" in doc:
-        eps = doc["epsilon"]
-        if not isinstance(eps, (int, float)) or isinstance(eps, bool) or not 0 < eps <= 1e-3:
-            raise ConfigError(f"{field}.epsilon", "expected a real in (0, 1e-3]")
-        kwargs["epsilon"] = float(eps)
     try:
         return StateSpec(family, **kwargs)
     except SimulationError as exc:
@@ -189,9 +197,7 @@ def _parse_axis(doc, field: str) -> tuple[float, ...]:
     for key in ("start", "stop", "points"):
         if key not in doc:
             raise ConfigError(f"{field}.{key}", "missing required key")
-    points = doc["points"]
-    if not isinstance(points, int) or isinstance(points, bool) or points < 1:
-        raise ConfigError(f"{field}.points", "expected a positive integer")
+    points = _number(doc["points"], f"{field}.points", 1, integer=True)
     start = parse_angle(doc["start"], f"{field}.start")
     stop = parse_angle(doc["stop"], f"{field}.stop")
     if points == 1:
@@ -223,13 +229,9 @@ def _parse_pattern(doc) -> PatternSpec:
         raise ConfigError(
             "pattern.label", f"unknown label {doc['label']!r}; one of: {names}"
         ) from None
-    extent = doc.get("extent", 2.0)
-    if not isinstance(extent, (int, float)) or isinstance(extent, bool) or extent <= 0:
-        raise ConfigError("pattern.extent", "expected a positive real")
-    resolution = doc.get("resolution", 21)
-    if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution <= 0:
-        raise ConfigError("pattern.resolution", "expected a positive integer")
-    return PatternSpec(label, float(extent), resolution)
+    extent = _number(doc.get("extent", 2.0), "pattern.extent", 0.0, open_low=True)
+    resolution = _number(doc.get("resolution", 21), "pattern.resolution", 1, integer=True)
+    return PatternSpec(label, extent, resolution)
 
 
 def parse_config(text: str, mode: str) -> RunConfig:
@@ -300,19 +302,27 @@ def _chsh_document(config: RunConfig) -> dict:
                 "mean_m": pt.mean_m,
                 "var_m": pt.var_m,
                 "itot": pt.itot,
-                "squeezing_ratio": pt.squeezing_ratio,
+                "squeezing_ratio": pt.var_ratio,
             }
             for pt in result.points
         ],
     }
 
 
-def run(config: RunConfig, stdout=None) -> str:
+def _render_json(doc: dict) -> str:
+    """Strict JSON: a NaN or infinite value is an error, never written."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise SimulationError("result contains a non-finite number") from None
+
+
+def run(config: RunConfig) -> str:
     """Execute a run and return the rendered output document."""
     if config.mode == "chsh":
         doc = _chsh_document(config)
         if config.format == "json":
-            return json.dumps(doc, indent=2) + "\n"
+            return _render_json(doc)
         buf = io.StringIO()
         buf.write("alpha,beta,mean_m,var_m,itot,squeezing_ratio\n")
         for pt in doc["points"]:
@@ -332,24 +342,20 @@ def run(config: RunConfig, stdout=None) -> str:
             ensemble, config.scan_grid.alphas, config.scan_grid.betas
         )
         if config.format == "json":
-            return (
-                json.dumps(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "points": [
-                            {
-                                "alpha": pt.settings.alpha,
-                                "beta": pt.settings.beta,
-                                "mean_m": pt.mean_m,
-                                "var_m": pt.var_m,
-                                "itot": pt.itot,
-                            }
-                            for pt in points
-                        ],
-                    },
-                    indent=2,
-                )
-                + "\n"
+            return _render_json(
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "points": [
+                        {
+                            "alpha": pt.settings.alpha,
+                            "beta": pt.settings.beta,
+                            "mean_m": pt.mean_m,
+                            "var_m": pt.var_m,
+                            "itot": pt.itot,
+                        }
+                        for pt in points
+                    ],
+                }
             )
         buf = io.StringIO()
         analysis.write_scan_csv(points, buf)
@@ -393,27 +399,11 @@ def main(argv=None) -> int:
         else:
             print("error: --config is required for this mode", file=sys.stderr)
             return 2
-        config = parse_config(text, args.mode)
-        if args.output is not None:
-            config = RunConfig(
-                config.mode,
-                config.state,
-                config.chsh_settings,
-                config.scan_grid,
-                config.pattern,
-                args.output,
-                config.format,
-            )
-        if args.format is not None:
-            config = RunConfig(
-                config.mode,
-                config.state,
-                config.chsh_settings,
-                config.scan_grid,
-                config.pattern,
-                config.output,
-                args.format,
-            )
+        overrides = {"output": args.output, "format": args.format}
+        config = dataclasses.replace(
+            parse_config(text, args.mode),
+            **{k: v for k, v in overrides.items() if v is not None},
+        )
         rendered = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -12,9 +12,10 @@ the last mode fastest (C order over the axis tuple).
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,8 +56,9 @@ class BasisConfig:
             raise SimulationError("cutoffs must be nonnegative integers")
         object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
         if self.dimension > MAX_DIMENSION:
-            raise SimulationError(
-                f"basis dimension {self.dimension} exceeds guard {MAX_DIMENSION}"
+            raise TruncationError(
+                f"basis dimension {self.dimension} (cutoffs {self.cutoffs}) exceeds "
+                f"the guard MAX_DIMENSION={MAX_DIMENSION}"
             )
 
     @property
@@ -147,6 +149,14 @@ class StateEnsemble:
     def basis(self) -> BasisConfig:
         return self.members[0][1].basis
 
+    @functools.cached_property
+    def moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (G, Gamma) of :func:`moments`, computed on first use."""
+        g, gamma = moments(self)
+        g.flags.writeable = False
+        gamma.flags.writeable = False
+        return g, gamma
+
     @classmethod
     def pure(cls, state: PureState) -> "StateEnsemble":
         return cls(((1.0, state),))
@@ -222,7 +232,8 @@ def apply_one_body(state: PureState, op: OneBodyOperator) -> PureState:
     """Apply the second-quantized operator sum_jk B_jk a+_j a_k (unnormalized).
 
     The implemented action is the projection of the exact operator onto the
-    truncated space, which keeps it Hermitian as a matrix on that space.
+    truncated space, which keeps it Hermitian as a matrix on that space. It
+    is the Fock-route oracle for :func:`mean_and_variance`.
     """
     if op.n_modes != state.basis.n_modes:
         raise SimulationError(
@@ -247,36 +258,70 @@ def apply_one_body(state: PureState, op: OneBodyOperator) -> PureState:
     return PureState(state.basis, out, state.leakage + lost)
 
 
+def moments(ensemble: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """Normally ordered moment tensors of a mixture, from lowering alone.
+
+    Returns G with G_jk = <a+_j a_k> and Gamma with
+    Gamma_ijkl = <a+_i a+_j a_k a_l>, summed over members with their weights
+    as G_jk = <a_j psi|a_k psi> and Gamma_ijkl = <a_i a_j psi|a_k a_l psi>.
+    Lowering never leaves the truncated space, so these are the exact moments
+    of the truncated state. Modes with cutoff 0 contribute only zeros and are
+    skipped.
+    """
+    basis = ensemble.basis
+    n = basis.n_modes
+    active = [m for m, c in enumerate(basis.cutoffs) if c > 0]
+    k = len(active)
+    g = np.zeros((k, k), dtype=np.complex128)
+    gamma = np.zeros((k * k, k * k), dtype=np.complex128)
+    once = np.empty((k,) + basis.dims, dtype=np.complex128)
+    twice = np.empty((k, k) + basis.dims, dtype=np.complex128)
+    for w, s in ensemble.members:
+        for i, m in enumerate(active):
+            once[i] = _lower(s.amplitudes, m)
+        for i, j in np.ndindex(k, k):
+            twice[i, j] = _lower(once[i], active[j])
+        flat1 = once.reshape(k, -1)
+        flat2 = twice.reshape(k * k, -1)
+        g += w * (flat1.conj() @ flat1.T)
+        gamma += w * (flat2.conj() @ flat2.T)
+    g_full = np.zeros((n, n), dtype=np.complex128)
+    g_full[np.ix_(active, active)] = g
+    gamma_full = np.zeros((n,) * 4, dtype=np.complex128)
+    gamma_full[np.ix_(active, active, active, active)] = gamma.reshape((k,) * 4)
+    return g_full, gamma_full
+
+
+def mean_and_variance(ensemble: StateEnsemble, op: OneBodyOperator) -> tuple[float, float]:
+    """Mixture mean <B> and variance <B^2> - <B>^2 of a one-body observable.
+
+    Contracts the ensemble's cached moment tensors:
+    <B> = sum B_jk G_jk and <B^2> = sum B_ij B_kl Gamma_ikjl + sum (B^2)_il G_il.
+    """
+    g, gamma = ensemble.moments
+    if op.n_modes != g.shape[0]:
+        raise SimulationError(
+            f"operator acts on {op.n_modes} modes, state has {g.shape[0]}"
+        )
+    b = op.matrix
+    mean = complex(np.sum(b * g))
+    if abs(mean.imag) > 1e-9:
+        raise SimulationError(f"expectation has imaginary residue {mean.imag}")
+    second = np.einsum("ij,kl,ikjl->", b, b, gamma) + np.sum((b @ b) * g)
+    var = float(second.real) - mean.real * mean.real
+    if var < -1e-9:
+        raise SimulationError(f"negative variance {var}")
+    return mean.real, var
+
+
 def expect_one_body(ensemble: StateEnsemble, op: OneBodyOperator) -> float:
     """Ensemble average of a one-body observable."""
-    total = 0.0 + 0.0j
-    for w, s in ensemble.members:
-        bs = apply_one_body(s, op)
-        total += w * s.overlap(bs)
-    if abs(total.imag) > 1e-9:
-        raise SimulationError(f"expectation has imaginary residue {total.imag}")
-    return total.real
+    return mean_and_variance(ensemble, op)[0]
 
 
 def variance_one_body(ensemble: StateEnsemble, op: OneBodyOperator) -> float:
-    """Mixture-level variance <B^2> - <B>^2 of a one-body observable.
-
-    <B^2> per member is computed as ||B psi||^2, exact for the truncated
-    (projected) operator.
-    """
-    mean = 0.0
-    second = 0.0
-    for w, s in ensemble.members:
-        bs = apply_one_body(s, op)
-        m1 = s.overlap(bs)
-        if abs(m1.imag) > 1e-9:
-            raise SimulationError(f"expectation has imaginary residue {m1.imag}")
-        mean += w * m1.real
-        second += w * float(np.vdot(bs.amplitudes, bs.amplitudes).real)
-    var = second - mean * mean
-    if var < -1e-9:
-        raise SimulationError(f"negative variance {var}")
-    return var
+    """Mixture-level variance <B^2> - <B>^2 of a one-body observable."""
+    return mean_and_variance(ensemble, op)[1]
 
 
 def poisson_tail_cutoff(mean_n: float, eps: float) -> int:

@@ -73,11 +73,8 @@ def fock_on_bell_mode(n_photons: int, label: BellModeLabel, basis: BasisConfig) 
     amps = np.zeros(basis.dims, dtype=np.complex128)
     idx = [0] * basis.n_modes
     for n in range(n_photons + 1):
-        coeff = math.sqrt(
-            math.factorial(n_photons)
-            / 2.0**n_photons
-            / (math.factorial(n) * math.factorial(n_photons - n))
-        )
+        # Exact integer ratio, rounded once; floats overflow for N > ~170.
+        coeff = math.sqrt(math.comb(n_photons, n) / 2**n_photons)
         if sign < 0 and (n_photons - n) % 2 == 1:
             coeff = -coeff
         idx[ma] = n

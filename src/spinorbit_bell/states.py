@@ -1,8 +1,9 @@
 """Catalog of the six input-state families used in the Bell-noise comparison.
 
-All families excite only the Hh and Vv modes; the measurement-only modes
-Hv and Vh get a small fixed cutoff that absorbs the photons moved there by
-(at most two) applications of the intensity-difference observable.
+All families excite only the Hh and Vv modes, so the measurement-only modes
+Hv and Vh carry cutoff 0. Observables are evaluated from the moment tensors
+of the state (``fock.moments``), which never raise a photon into a mode, so
+no room for moved photons is needed.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from . import fock
 from .errors import SimulationError
 from .fock import BasisConfig, ModeIndex, PureState, StateEnsemble
 from .partitions import BellModeLabel, fock_on_bell_mode
-
-#: Cutoff for the Hv/Vh modes; two one-body applications never exceed it.
-MEASUREMENT_MODE_CUTOFF = 2
 
 #: Extra headroom on source-mode cutoffs so that boundary bins carry mass
 #: well below the tail tolerance even after observable applications.
@@ -63,8 +61,7 @@ class StateSpec:
 
 
 def _source_basis(source_cutoff: int) -> BasisConfig:
-    m = MEASUREMENT_MODE_CUTOFF
-    return BasisConfig((source_cutoff, m, m, source_cutoff))
+    return BasisConfig((source_cutoff, 0, 0, source_cutoff))
 
 
 def fock_basis(n_photons: int) -> BasisConfig:
@@ -90,9 +87,7 @@ def entangled_fock(n_photons: int, basis: BasisConfig | None = None) -> StateEns
 
 
 def binomial_weights(n_photons: int) -> list[float]:
-    return [
-        math.comb(n_photons, n) / 2.0**n_photons for n in range(n_photons + 1)
-    ]
+    return [math.comb(n_photons, n) / 2**n_photons for n in range(n_photons + 1)]
 
 
 def _number_state(basis: BasisConfig, n_hh: int, n_vv: int) -> PureState:

@@ -248,6 +248,50 @@ def _misc_checks(rng) -> list[CheckResult]:
     return out
 
 
+def _fock_route(ensemble: StateEnsemble, op: fock.OneBodyOperator) -> tuple[float, float]:
+    """Mean <psi|B psi> and variance from ||B psi||^2, member by member."""
+    mean = 0.0
+    second = 0.0
+    for w, s in ensemble.members:
+        bs = fock.apply_one_body(s, op)
+        mean += w * s.overlap(bs).real
+        second += w * float(np.vdot(bs.amplitudes, bs.amplitudes).real)
+    return mean, second - mean * mean
+
+
+def _measurement_room(basis: BasisConfig) -> BasisConfig:
+    """A catalog basis with cutoff 2 on Hv/Vh, room for the photons M moves."""
+    return BasisConfig((basis.cutoffs[ModeIndex.HH], 2, 2, basis.cutoffs[ModeIndex.VV]))
+
+
+def _moment_core_check(rng) -> CheckResult:
+    """Moment-tensor contraction against applying M to the Fock tensor.
+
+    The two routes agree exactly when no photon is raised past a cutoff, so
+    the random states leave the top bin of every mode empty and the catalog
+    states are built on bases with room on Hv/Vh.
+    """
+    basis = BasisConfig((3, 3, 3, 3))
+    ensembles = []
+    for _ in range(3):
+        amps = np.zeros(basis.dims, dtype=np.complex128)
+        amps[:3, :3, :3, :3] = rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4)
+        state = fock.PureState(basis, amps / np.linalg.norm(amps))
+        ensembles.append(StateEnsemble.pure(state))
+    squeezed = states.squeezed_basis(1.0, fock.DEFAULT_EPS)
+    ensembles.append(states.werner_fock(2, 0.4, _measurement_room(states.fock_basis(2))))
+    ensembles.append(states.two_mode_squeezed(1.0, _measurement_room(squeezed)))
+    worst = 0.0
+    for ensemble in ensembles:
+        for _ in range(3):
+            s = Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
+            op = apparatus.m_operator(s)
+            core = fock.mean_and_variance(ensemble, op)
+            oracle = _fock_route(ensemble, op)
+            worst = max(worst, *(abs(a - b) for a, b in zip(core, oracle)))
+    return _check("moment core vs Fock route (apply_one_body)", worst, 1e-10)
+
+
 def run_verification() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED)
     results = [_mode_power_check()]
@@ -257,6 +301,7 @@ def run_verification() -> list[CheckResult]:
     results.extend(_closed_form_checks(rng))
     results.extend(_s_value_checks())
     results.extend(_misc_checks(rng))
+    results.append(_moment_core_check(rng))
     return results
 
 

@@ -52,9 +52,9 @@ def test_criterion_03_entangled_fock_squeezing(n):
     itot = analysis.total_intensity(e)
     for pair in DEFAULT_CHSH_SETTINGS.pairs():
         pt = analysis.noise_point(e, pair, itot)
-        assert abs(pt.squeezing_ratio - 0.5) < 1e-9
+        assert abs(pt.var_ratio - 0.5) < 1e-9
     perfect = analysis.noise_point(e, Settings(0.0, math.pi / 2), itot)
-    assert perfect.squeezing_ratio < 1e-9
+    assert perfect.var_ratio < 1e-9
     report(3, f"N={n}: 50% squeezing at Bell settings; perfect at beta-alpha=pi/2")
 
 
@@ -101,7 +101,7 @@ def test_criterion_06_pure_coherent(u):
     for _ in range(10):
         s = Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
         pt = analysis.noise_point(e, s, itot)
-        assert abs(pt.squeezing_ratio - 1.0) < 1e-6
+        assert abs(pt.var_ratio - 1.0) < 1e-6
     report(6, f"pure coherent u={u}: S = 2*sqrt(2) within {tol:.1e}, shot noise at 10 settings")
 
 

@@ -26,7 +26,7 @@ class TestNoisePoint:
         e = states.pure_coherent(2.0)
         for s in (Settings(0.3, 1.7), Settings(0.0, 0.0)):
             pt = analysis.noise_point(e, s)
-            assert pt.squeezing_ratio == pytest.approx(1.0, abs=1e-8)
+            assert pt.var_ratio == pytest.approx(1.0, abs=1e-8)
 
 
 class TestSParameter:
@@ -124,6 +124,32 @@ class TestClosedForm:
             mean_ref, var_ref = analysis.closed_form(spec, s)
             assert pt.mean_ratio == pytest.approx(mean_ref, abs=tol)
             assert pt.var_ratio == pytest.approx(var_ref, abs=tol)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StateSpec(Family.ENTANGLED_FOCK, n=3),
+        StateSpec(Family.MIXED_FOCK, n=4),
+        StateSpec(Family.WERNER_FOCK, n=3, p=0.3),
+        StateSpec(Family.PURE_COHERENT, u=1.5 - 0.5j),
+        StateSpec(Family.MIXED_COHERENT, u=1.2, reflectivity=0.3, phi=0.4),
+        StateSpec(Family.TWO_MODE_SQUEEZED_VACUUM, zeta=1.2),
+    ],
+    ids=lambda spec: spec.family.value,
+)
+def test_measurement_modes_need_no_cutoff(spec):
+    # Hv/Vh carry cutoff 0 by default; a basis with cutoff 2 there, room for
+    # every photon M can move, must give the same noise points.
+    small = states.build(spec)
+    hh, hv, vh, vv = small.basis.cutoffs
+    assert (hv, vh) == (0, 0)
+    large = states.build(spec, BasisConfig((hh, 2, 2, vv)))
+    for s in (Settings(0.3, 1.1), Settings(2.0, 0.7), Settings(0.0, math.pi / 4)):
+        a = analysis.noise_point(small, s)
+        b = analysis.noise_point(large, s)
+        for x, y in ((a.mean_m, b.mean_m), (a.var_m, b.var_m), (a.itot, b.itot)):
+            assert x == pytest.approx(y, rel=1e-12, abs=1e-12)
 
 
 class TestScan:

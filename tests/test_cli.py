@@ -4,7 +4,7 @@ import math
 import pytest
 
 from spinorbit_bell import cli
-from spinorbit_bell.errors import ConfigError
+from spinorbit_bell.errors import ConfigError, SimulationError
 from spinorbit_bell.states import Family
 
 
@@ -147,6 +147,64 @@ class TestMain:
         assert cli.main(["chsh", "--config", str(cfgfile), "--output", str(out1)]) == 0
         assert cli.main(["chsh", "--config", str(cfgfile), "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+_SCAN = "scan_grid: {alpha: {start: 0, stop: %s, points: 3}, beta: {start: 0, stop: 1, points: 3}}"
+
+
+@pytest.mark.parametrize(
+    "mode,text,field",
+    [
+        ("chsh", "state: {family: pure_coherent, u: .nan}", "state.u"),
+        ("chsh", "state: {family: pure_coherent, u: [1.0, .inf]}", "state.u"),
+        ("chsh", "state: {family: two_mode_squeezed_vacuum, zeta: .nan}", "state.zeta"),
+        (
+            "chsh",
+            "state: {family: mixed_coherent, u: 1, reflectivity: 0.5, phi: .nan}",
+            "state.phi",
+        ),
+        ("chsh", "state: {family: werner_fock, n: 2, p: .nan}", "state.p"),
+        (
+            "chsh",
+            "state: {family: entangled_fock, n: 1}\n"
+            "chsh_settings: {alpha: .inf, alpha_prime: 0, beta: 0, beta_prime: 0}",
+            "chsh_settings.alpha",
+        ),
+        (
+            "chsh",
+            "state: {family: entangled_fock, n: 1}\n"
+            "chsh_settings: {alpha: 0, alpha_prime: pi/0, beta: 0, beta_prime: 0}",
+            "chsh_settings.alpha_prime",
+        ),
+        (
+            "noise-scan",
+            "state: {family: mixed_fock, n: 2}\n" + _SCAN % ".nan",
+            "scan_grid.alpha.stop",
+        ),
+        ("mode-pattern", "pattern: {label: psi_plus, extent: .inf}", "pattern.extent"),
+    ],
+)
+def test_non_finite_input_is_a_config_error(tmp_path, capsys, mode, text, field):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(text + "\n")
+    assert cli.main([mode, "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert captured.out == ""
+
+
+def test_dimension_guard_is_a_truncation_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text("state: {family: entangled_fock, n: 2000}\n")
+    assert cli.main(["chsh", "--config", str(cfgfile)]) == 3
+    err = capsys.readouterr().err
+    assert "truncation error" in err
+    assert "4012009" in err
+
+
+def test_json_output_is_strict():
+    with pytest.raises(SimulationError, match="non-finite"):
+        cli._render_json({"s_value": math.nan})
 
 
 def test_verify_mode_passes(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinorbit_bell import fock
 from spinorbit_bell.errors import SimulationError, TruncationError
@@ -177,6 +178,55 @@ class TestExpectation:
             StateEnsemble(((0.5, good),))
         with pytest.raises(SimulationError):
             StateEnsemble(((1.0, PureState(basis, [0.5, 0.0])),))
+
+
+class TestMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(*[st.integers(2, 3)] * 4),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_fock_route(self, cutoffs, n_members, seed):
+        # With the top bin of every mode empty, B never raises a photon past a
+        # cutoff, so <psi|B psi> and ||B psi||^2 are the exact moments.
+        rng = np.random.default_rng(seed)
+        basis = BasisConfig(cutoffs)
+        interior = tuple(slice(0, c) for c in cutoffs)
+        members = []
+        for w in rng.dirichlet(np.ones(n_members)):
+            amps = np.zeros(basis.dims, dtype=np.complex128)
+            shape = amps[interior].shape
+            amps[interior] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            members.append((w, PureState(basis, amps / np.linalg.norm(amps))))
+        mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        op = OneBodyOperator((mat + mat.conj().T) / 2)
+        ensemble = StateEnsemble(tuple(members))
+
+        mean = 0.0
+        second = 0.0
+        for w, s in ensemble.members:
+            bs = fock.apply_one_body(s, op)
+            assert bs.leakage == 0.0
+            mean += w * s.overlap(bs).real
+            second += w * bs.norm() ** 2
+        got_mean, got_var = fock.mean_and_variance(ensemble, op)
+        assert got_mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
+        assert got_var + got_mean**2 == pytest.approx(second, rel=1e-12, abs=1e-12)
+
+    def test_cutoff_zero_modes_are_skipped(self):
+        s = number_state(BasisConfig((2, 0, 0, 2)), (1, 0, 0, 2))
+        g, gamma = fock.moments(StateEnsemble.pure(s))
+        assert np.allclose(g, np.diag([1.0, 0.0, 0.0, 2.0]))
+        assert gamma[3, 3, 3, 3] == pytest.approx(2.0)  # n(n-1) for n = 2
+        assert gamma[0, 3, 0, 3] == pytest.approx(2.0)
+        assert np.count_nonzero(gamma) == 5
+
+    def test_cached_on_the_ensemble(self):
+        e = StateEnsemble.pure(number_state(BasisConfig((1, 1)), (1, 0)))
+        assert e.moments is e.moments
+        with pytest.raises(ValueError):
+            e.moments[0][0, 0] = 5.0
 
 
 class TestDisplace:
