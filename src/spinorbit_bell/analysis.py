@@ -28,12 +28,17 @@ class NoisePoint:
 
     @property
     def mean_ratio(self) -> float:
-        return self.mean_m / self.itot
+        return self.mean_m / self._nonzero_itot()
 
     @property
     def var_ratio(self) -> float:
         """Intensity-difference noise normalized to shot noise."""
-        return self.var_m / self.itot
+        return self.var_m / self._nonzero_itot()
+
+    def _nonzero_itot(self) -> float:
+        if self.itot == 0.0:
+            raise SimulationError("total intensity is zero; intensity ratios undefined")
+        return self.itot
 
 
 @dataclass(frozen=True)

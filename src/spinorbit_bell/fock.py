@@ -18,9 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import SimulationError, TruncationError
 
@@ -324,30 +321,48 @@ def variance_one_body(ensemble: StateEnsemble, op: OneBodyOperator) -> float:
     return mean_and_variance(ensemble, op)[1]
 
 
+#: Largest cutoff the tail searches consider before declaring divergence.
+_TAIL_SEARCH_LIMIT = 100_000
+
+
+def log_poisson(mean_n: float, top: int) -> np.ndarray:
+    """log P(X = k) of X ~ Poisson(mean_n) for k = 0..top, with mean_n > 0.
+
+    Each term is formed in log space, so no term under- or overflows on the
+    way even when exp(-mean_n) or mean_n^k / k! alone would.
+    """
+    k = np.arange(top + 1)
+    log_factorial = np.array([math.lgamma(j + 1.0) for j in range(top + 1)])
+    return k * math.log(mean_n) - mean_n - log_factorial
+
+
 def poisson_tail_cutoff(mean_n: float, eps: float) -> int:
-    """Smallest cutoff n with Poisson(mean_n) mass above n below eps."""
+    """Smallest cutoff n with Poisson(mean_n) mass above n at most eps.
+
+    The tail is summed in log space from its far end, so neither an
+    underflowing exp(-mean_n) nor the rounding of 1 - cdf limits it.
+    """
     if mean_n <= 0.0:
         return 0
-    term = math.exp(-mean_n)
-    cdf = term
-    n = 0
-    while 1.0 - cdf > eps:
-        n += 1
-        term *= mean_n / n
-        cdf += term
-        if n > 100_000:
+    if not eps > 0.0:
+        raise TruncationError(f"Poisson tail cannot fall to eps={eps}")
+    # Past the mean the terms fall faster than geometrically; once below
+    # eps * e^-40 the rest of the tail cannot change the answer.
+    floor = math.log(eps) - 40.0
+    top = max(math.ceil(mean_n), 1)
+    while top * math.log(mean_n) - mean_n - math.lgamma(top + 1.0) > floor:
+        top += 1
+        if top > _TAIL_SEARCH_LIMIT:
             raise TruncationError("Poisson tail does not converge")
-    return n
+    # at_least[k] = P(X >= k), so the mass above n is at_least[n + 1].
+    at_least = np.cumsum(np.exp(log_poisson(mean_n, top))[::-1])[::-1]
+    return int(np.argmax(at_least[1:] <= eps))
 
 
-def displace(state: PureState, mode: int, u: complex, eps: float = DEFAULT_EPS) -> PureState:
-    """Apply the displacement exp(u a+ - u* a) on one mode.
-
-    Uses the exponential of the generator truncated to the mode subspace
-    (scaling-and-squaring), which is exactly unitary on the truncated space.
-    """
+def check_displacement_room(basis: BasisConfig, mode: int, u: complex, eps: float) -> None:
+    """Raise TruncationError unless a displacement by u fits on the mode's cutoff."""
     axis = int(mode)
-    cutoff = state.basis.cutoffs[axis]
+    cutoff = basis.cutoffs[axis]
     needed = poisson_tail_cutoff(abs(u) ** 2, eps)
     if needed > cutoff:
         raise TruncationError(
@@ -355,9 +370,22 @@ def displace(state: PureState, mode: int, u: complex, eps: float = DEFAULT_EPS) 
             f"{axis}, basis has {cutoff}",
             required_cutoff=needed,
         )
+
+
+def displace(state: PureState, mode: int, u: complex, eps: float = DEFAULT_EPS) -> PureState:
+    """Apply the displacement exp(u a+ - u* a) on one mode.
+
+    Uses the exponential of the generator truncated to the mode subspace
+    (scaling-and-squaring), which is exactly unitary on the truncated space.
+    It is the expm oracle for the closed-form coherent builds in ``states``.
+    """
+    from scipy.linalg import expm
+
+    axis = int(mode)
+    check_displacement_room(state.basis, axis, u, eps)
     if u == 0:
         return state
-    d = cutoff + 1
+    d = state.basis.dims[axis]
     a = np.diag(np.sqrt(np.arange(1, d)), k=1)
     gen = u * a.T - np.conj(u) * a
     unitary = expm(gen)
@@ -377,9 +405,23 @@ def tmsv_tail_cutoff(r: float, eps: float) -> int:
     n = 0
     while t2 ** (n + 1) > eps:
         n += 1
-        if n > 100_000:
+        if n > _TAIL_SEARCH_LIMIT:
             raise TruncationError("squeezing tail does not converge")
     return n
+
+
+def check_squeezing_room(
+    basis: BasisConfig, mode_a: int, mode_b: int, zeta: complex, eps: float
+) -> None:
+    """Raise TruncationError unless squeezing by zeta fits on both cutoffs."""
+    r = abs(zeta) / 2.0
+    needed = tmsv_tail_cutoff(r, eps)
+    min_cut = min(basis.cutoffs[int(mode_a)], basis.cutoffs[int(mode_b)])
+    if needed > min_cut:
+        raise TruncationError(
+            f"squeezing r={r:.4g} needs cutoff {needed}, basis has {min_cut}",
+            required_cutoff=needed,
+        )
 
 
 def two_mode_squeeze(
@@ -392,19 +434,15 @@ def two_mode_squeeze(
     """Apply exp((zeta* a_A a_B - zeta a+_A a+_B)/2) on a mode pair.
 
     Note the generator carries zeta/2, so the effective squeezing strength
-    is r = |zeta|/2.
+    is r = |zeta|/2. It is the expm oracle for the closed-form squeezed
+    build in ``states``.
     """
+    import scipy.sparse as sp
+
     ia, ib = int(mode_a), int(mode_b)
     if ia == ib:
         raise SimulationError("two-mode squeezing needs two distinct modes")
-    r = abs(zeta) / 2.0
-    needed = tmsv_tail_cutoff(r, eps)
-    min_cut = min(state.basis.cutoffs[ia], state.basis.cutoffs[ib])
-    if needed > min_cut:
-        raise TruncationError(
-            f"squeezing r={r:.4g} needs cutoff {needed}, basis has {min_cut}",
-            required_cutoff=needed,
-        )
+    check_squeezing_room(state.basis, ia, ib, zeta, eps)
     if zeta == 0:
         return state
     da = state.basis.dims[ia]
@@ -418,6 +456,9 @@ def two_mode_squeeze(
 
 def _apply_pair_exponential(state, mode_a, mode_b, generator) -> PureState:
     """Apply expm(generator) where generator acts on the (mode_a, mode_b) pair."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply
+
     dims = state.basis.dims
     da, db = dims[mode_a], dims[mode_b]
     moved = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
@@ -439,6 +480,8 @@ def displace_pair_generator(
     Used to realize displacements of collective (superposition) modes without
     assuming they factorize into per-mode displacements.
     """
+    import scipy.sparse as sp
+
     da = state.basis.dims[mode_a]
     db = state.basis.dims[mode_b]
     a = sp.kron(sp.diags(np.sqrt(np.arange(1, da)), 1), sp.identity(db), format="csc")

@@ -66,12 +66,20 @@ def bell_coefficients(label: BellModeLabel) -> VectorModeCoefficients:
     return VectorModeCoefficients(*BELL_COEFFICIENTS[label])
 
 
-def eval_hg_mode(orientation: str, point: SpatialPoint) -> float:
-    """First-order Hermite-Gaussian amplitude at a waist-plane point."""
+def hg_amplitude(orientation: str, x, y):
+    """First-order Hermite-Gaussian amplitude at waist-plane coordinates.
+
+    ``x`` and ``y`` may be numbers or broadcastable arrays.
+    """
     if orientation not in ("h", "v"):
         raise SimulationError(f"orientation must be 'h' or 'v', got {orientation!r}")
-    linear = point.x if orientation == "h" else point.y
-    return _NORM * linear * math.exp(-(point.x**2 + point.y**2) / 2.0)
+    linear = x if orientation == "h" else y
+    return _NORM * linear * np.exp(-(x**2 + y**2) / 2.0)
+
+
+def eval_hg_mode(orientation: str, point: SpatialPoint) -> float:
+    """First-order Hermite-Gaussian amplitude at a waist-plane point."""
+    return float(hg_amplitude(orientation, point.x, point.y))
 
 
 def eval_vector_mode(

@@ -1,5 +1,10 @@
 """Catalog of the six input-state families used in the Bell-noise comparison.
 
+The Gaussian families (coherent, mixed coherent, two-mode squeezed) are built
+from their closed-form number-basis amplitudes, truncated at the cutoffs and
+renormalized; ``fock.displace`` and ``fock.two_mode_squeeze`` remain as the
+expm route that ``verify`` checks them against.
+
 All families excite only the Hh and Vv modes, so the measurement-only modes
 Hv and Vh carry cutoff 0. Observables are evaluated from the moment tensors
 of the state (``fock.moments``), which never raise a photon into a mode, so
@@ -130,6 +135,36 @@ def werner_fock(
     return StateEnsemble(tuple(members))
 
 
+def _on_source_modes(basis: BasisConfig, pair: np.ndarray) -> PureState:
+    """Normalized state with amplitudes ``pair[n_hh, n_vv]``, vacuum on Hv/Vh."""
+    amps = np.zeros(basis.dims, dtype=np.complex128)
+    idx = [0] * basis.n_modes
+    idx[ModeIndex.HH] = idx[ModeIndex.VV] = slice(None)
+    amps[tuple(idx)] = pair
+    return PureState(basis, amps).normalized()
+
+
+def _coherent_column(u: complex, cutoff: int) -> np.ndarray:
+    """Coherent-state amplitudes e^{-|u|^2/2} u^n / sqrt(n!) for n = 0..cutoff.
+
+    The moduli come from the Poisson log-probabilities, so the column is
+    finite and accurate wherever ``fock.poisson_tail_cutoff`` converges.
+    """
+    mean = abs(u) ** 2
+    if mean == 0.0:
+        return np.eye(1, cutoff + 1, dtype=np.complex128)[0]
+    n = np.arange(cutoff + 1)
+    return np.exp(0.5 * fock.log_poisson(mean, cutoff) + 1j * cmath.phase(u) * n)
+
+
+def _coherent_pair(basis: BasisConfig, u_hh: complex, u_vv: complex) -> PureState:
+    """Product of coherent states u_hh on Hh and u_vv on Vv, from closed form."""
+    cut = basis.cutoffs
+    column_hh = _coherent_column(u_hh, cut[ModeIndex.HH])
+    column_vv = _coherent_column(u_vv, cut[ModeIndex.VV])
+    return _on_source_modes(basis, np.multiply.outer(column_hh, column_vv))
+
+
 def pure_coherent(
     u: complex, basis: BasisConfig | None = None, eps: float = fock.DEFAULT_EPS
 ) -> StateEnsemble:
@@ -137,10 +172,9 @@ def pure_coherent(
     if basis is None:
         basis = coherent_basis(abs(u) ** 2 / 2.0, eps)
     amp = u / math.sqrt(2.0)
-    state = fock.vacuum(basis)
-    state = fock.displace(state, ModeIndex.HH, amp, eps)
-    state = fock.displace(state, ModeIndex.VV, amp, eps)
-    return StateEnsemble.pure(state)
+    fock.check_displacement_room(basis, ModeIndex.HH, amp, eps)
+    fock.check_displacement_room(basis, ModeIndex.VV, amp, eps)
+    return StateEnsemble.pure(_coherent_pair(basis, amp, amp))
 
 
 def mixed_coherent(
@@ -166,26 +200,36 @@ def mixed_coherent(
     if basis is None:
         max_mean = max(abs(u) ** 2, (abs(u) * (root_r + root_t)) ** 2)
         basis = coherent_basis(max_mean, eps)
+    fock.check_displacement_room(basis, ModeIndex.HH, u, eps)
     members = []
     w = 1.0 / phase_points
     for k in range(phase_points):
         theta = 2.0 * math.pi * k / phase_points
         u_prime = u * (root_r * cmath.exp(1j * phi) + root_t * cmath.exp(1j * theta))
-        state = fock.vacuum(basis)
-        state = fock.displace(state, ModeIndex.HH, u, eps)
-        state = fock.displace(state, ModeIndex.VV, u_prime, eps)
-        members.append((w, state))
+        fock.check_displacement_room(basis, ModeIndex.VV, u_prime, eps)
+        members.append((w, _coherent_pair(basis, u, u_prime)))
     return StateEnsemble(tuple(members))
 
 
 def two_mode_squeezed(
     zeta: complex, basis: BasisConfig | None = None, eps: float = fock.DEFAULT_EPS
 ) -> StateEnsemble:
-    """Two-mode squeezed vacuum on (Hh, Vv) with squeezing strength |zeta|/2."""
+    """Two-mode squeezed vacuum on (Hh, Vv) with squeezing strength |zeta|/2.
+
+    The state exp((zeta* a b - zeta a+ b+)/2)|0, 0> in closed form:
+    sum_n (-e^{i theta} tanh r)^n / cosh r |n, n> with r = |zeta|/2 and
+    theta = arg zeta.
+    """
     if basis is None:
         basis = squeezed_basis(zeta, eps)
-    state = fock.two_mode_squeeze(fock.vacuum(basis), ModeIndex.HH, ModeIndex.VV, zeta, eps)
-    return StateEnsemble.pure(state)
+    fock.check_squeezing_room(basis, ModeIndex.HH, ModeIndex.VV, zeta, eps)
+    r = abs(zeta) / 2.0
+    dims = (basis.dims[ModeIndex.HH], basis.dims[ModeIndex.VV])
+    n = np.arange(min(dims))
+    pair = np.zeros(dims, dtype=np.complex128)
+    phase = np.exp(1j * (cmath.phase(zeta) + math.pi) * n)
+    pair[n, n] = math.tanh(r) ** n * phase / math.cosh(r)
+    return StateEnsemble.pure(_on_source_modes(basis, pair))
 
 
 def build(spec: StateSpec, basis: BasisConfig | None = None) -> StateEnsemble:

@@ -8,6 +8,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,12 +36,7 @@ def _check(name: str, value: float, bound: float) -> CheckResult:
 
 def _mode_power_check() -> CheckResult:
     grid = np.linspace(-6.0, 6.0, 601)
-    psi = np.array(
-        [
-            [modes.eval_hg_mode("h", modes.SpatialPoint(x, y)) for x in grid]
-            for y in grid
-        ]
-    )
+    psi = modes.hg_amplitude("h", grid[None, :], grid[:, None])
     power = np.trapezoid(np.trapezoid(psi**2, grid, axis=1), grid)
     return _check("hg-mode unit power (trapezoid quadrature)", abs(power - 1.0), 1e-6)
 
@@ -292,6 +288,49 @@ def _moment_core_check(rng) -> CheckResult:
     return _check("moment core vs Fock route (apply_one_body)", worst, 1e-10)
 
 
+def _expm_displaced(basis: BasisConfig, u_hh: complex, u_vv: complex) -> fock.PureState:
+    state = fock.displace(fock.vacuum(basis), ModeIndex.HH, u_hh)
+    return fock.displace(state, ModeIndex.VV, u_vv)
+
+
+def _gaussian_build_check(rng) -> CheckResult:
+    """Closed-form Gaussian builds against exponentiating their generators.
+
+    Each state is rebuilt on the same basis with ``fock.displace`` or
+    ``fock.two_mode_squeeze``; residuals are relative to the total intensity.
+    """
+    u = 1.5 - 0.5j
+    pure = states.pure_coherent(u)
+    amp = u / math.sqrt(2.0)
+    pairs = [(pure, StateEnsemble.pure(_expm_displaced(pure.basis, amp, amp)))]
+
+    u, reflectivity, phi, k = 1.5, 0.3, 0.4, states.DEFAULT_PHASE_POINTS
+    mixed = states.mixed_coherent(u, reflectivity, phi, k)
+    root_r, root_t = math.sqrt(reflectivity), math.sqrt(1.0 - reflectivity)
+    members = []
+    for j in range(k):
+        u_vv = u * (root_r * cmath.exp(1j * phi) + root_t * cmath.exp(2j * math.pi * j / k))
+        members.append((1.0 / k, _expm_displaced(mixed.basis, u, u_vv)))
+    pairs.append((mixed, StateEnsemble(tuple(members))))
+
+    for zeta in (1.0, 1.2j):
+        squeezed = states.two_mode_squeezed(zeta)
+        vacuum = fock.vacuum(squeezed.basis)
+        oracle = fock.two_mode_squeeze(vacuum, ModeIndex.HH, ModeIndex.VV, zeta)
+        pairs.append((squeezed, StateEnsemble.pure(oracle)))
+
+    worst = 0.0
+    for closed, oracle in pairs:
+        itot = analysis.total_intensity(closed)
+        for _ in range(3):
+            s = Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
+            op = apparatus.m_operator(s)
+            a = fock.mean_and_variance(closed, op)
+            b = fock.mean_and_variance(oracle, op)
+            worst = max(worst, *(abs(x - y) / itot for x, y in zip(a, b)))
+    return _check("closed-form Gaussian builds vs expm route", worst, 1e-9)
+
+
 def run_verification() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED)
     results = [_mode_power_check()]
@@ -302,6 +341,7 @@ def run_verification() -> list[CheckResult]:
     results.extend(_s_value_checks())
     results.extend(_misc_checks(rng))
     results.append(_moment_core_check(rng))
+    results.append(_gaussian_build_check(rng))
     return results
 
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -214,3 +217,30 @@ def test_verify_mode_passes(tmp_path):
     assert rc == 0
     assert "FAIL" not in report
     assert report.strip().split("\n")[-1].endswith("checks passed")
+
+
+def test_zero_intensity_scan(tmp_path, capsys):
+    # Ratios to a zero total intensity are undefined: the CSV scan, which
+    # prints them, is an error; the JSON scan, which does not, succeeds.
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text("state: {family: pure_coherent, u: 0}\n" + _SCAN % "1" + "\n")
+    assert cli.main(["noise-scan", "--config", str(cfgfile), "--format", "csv"]) == 2
+    assert "total intensity is zero" in capsys.readouterr().err
+    assert cli.main(["noise-scan", "--config", str(cfgfile), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert all(pt["itot"] == 0.0 for pt in doc["points"])
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, spinorbit_bell.cli\n"
+        "print(sum(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    # The child imports the same package tree as this test run.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "0"

@@ -273,6 +273,32 @@ class TestDisplace:
         assert err.value.required_cutoff > 2
 
 
+class TestPoissonTailCutoff:
+    @pytest.mark.parametrize(
+        "mean,eps,expected",
+        # Reference cutoffs from the regularized incomplete gamma function
+        # P(X > n) = P(n + 1, mean) evaluated at 50 digits.
+        [
+            (2.25, 1e-10, 17),
+            (3.4731626506024096, 1e-14, 26),
+            (100.0, 1e-14, 186),
+            (800.0, 1e-10, 986),
+            (10_000.0, 1e-10, 10_643),
+            (0.3, 1e-20, 14),
+            (50.0, 1e-40, 170),
+        ],
+    )
+    def test_matches_exact_tail(self, mean, eps, expected):
+        assert fock.poisson_tail_cutoff(mean, eps) == expected
+
+    def test_zero_mean(self):
+        assert fock.poisson_tail_cutoff(0.0, 1e-10) == 0
+
+    def test_divergent_mean(self):
+        with pytest.raises(TruncationError):
+            fock.poisson_tail_cutoff(1e9, 1e-10)
+
+
 class TestTwoModeSqueeze:
     def test_zero_is_identity(self):
         vac = fock.vacuum(BasisConfig((3, 3)))

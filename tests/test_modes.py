@@ -42,6 +42,17 @@ class TestHgMode:
         with pytest.raises(SimulationError):
             modes.eval_hg_mode("d", SpatialPoint(0.0, 0.0))
 
+    @pytest.mark.parametrize("orientation", ["h", "v"])
+    def test_array_form_matches_pointwise(self, orientation):
+        xs = np.linspace(-4.0, 4.0, 37)
+        ys = np.linspace(-3.0, 5.0, 29)
+        grid = modes.hg_amplitude(orientation, xs[None, :], ys[:, None])
+        pointwise = [
+            [modes.eval_hg_mode(orientation, SpatialPoint(float(x), float(y))) for x in xs]
+            for y in ys
+        ]
+        assert np.array_equal(grid, np.array(pointwise))
+
 
 class TestVectorMode:
     def test_radial_on_x_axis(self):

@@ -1,12 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from spinorbit_bell import analysis, fock, states
-from spinorbit_bell.apparatus import Settings
-from spinorbit_bell.errors import SimulationError
-from spinorbit_bell.fock import ModeIndex
+from spinorbit_bell.apparatus import DEFAULT_CHSH_SETTINGS, Settings
+from spinorbit_bell.errors import SimulationError, TruncationError
+from spinorbit_bell.fock import BasisConfig, ModeIndex
 from spinorbit_bell.states import Family, StateSpec
 
 
@@ -98,6 +99,22 @@ class TestPureCoherent:
             expected = math.exp(-lam) * lam**n / math.factorial(n)
             assert p_n == pytest.approx(expected, abs=1e-9)
 
+    def test_shot_noise_at_large_amplitude(self):
+        # A build by truncated expm distorts the top bins enough to move
+        # var/itot by 6e-8 here.
+        e = states.pure_coherent(20.0)
+        for a, b in ((0.3, 0.9), (1.2, 0.1), (0.7, 2.2), (2.9, 1.7)):
+            s = Settings(a, b)
+            assert abs(analysis.noise_point(e, s).var_ratio - 1.0) <= 1e-8
+
+    def test_mean_photon_number_beyond_exp_underflow(self):
+        # 800 photons per mode: exp(-800) underflows, the log-space build does not.
+        e = states.pure_coherent(40.0)
+        assert e.basis.dimension == 978_121
+        assert analysis.total_intensity(e) == pytest.approx(1600.0, rel=1e-9)
+        s_value = analysis.s_parameter(e, DEFAULT_CHSH_SETTINGS).s_value
+        assert s_value == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+
 
 class TestMixedCoherent:
     def test_full_reflectivity_members_identical(self):
@@ -144,6 +161,65 @@ class TestTwoModeSqueezed:
         amps = amps.reshape(amps.shape[0], amps.shape[1], -1)[:, :, 0]
         off = amps - np.diag(np.diagonal(amps))
         assert np.max(np.abs(off)) < 1e-13
+
+
+def _expm_coherent(basis, u_hh, u_vv):
+    state = fock.displace(fock.vacuum(basis), ModeIndex.HH, u_hh)
+    return fock.displace(state, ModeIndex.VV, u_vv).amplitudes
+
+
+class TestClosedFormBuilds:
+    """The closed-form Gaussian builds against the expm route, and their truncation checks."""
+
+    def test_coherent_matches_expm_route_on_roomy_basis(self):
+        u = 1.5 - 0.5j
+        basis = BasisConfig((24, 2, 2, 24))
+        amps = states.pure_coherent(u, basis).members[0][1].amplitudes
+        assert np.max(np.abs(amps[:, 1:, :, :])) == 0.0
+        assert np.max(np.abs(amps[:, :, 1:, :])) == 0.0
+        # The tail beyond cutoff 24 is far below eps, so expm distorts no bin.
+        ref = _expm_coherent(basis, u / math.sqrt(2), u / math.sqrt(2))
+        assert np.max(np.abs(amps - ref)) < 1e-9
+
+    def test_mixed_coherent_members_match_expm_route(self):
+        # The truncated expm folds the tail mass (below eps) back into its top
+        # bins, so amplitudes there differ by up to about sqrt(eps).
+        e = states.mixed_coherent(1.5, 0.3, 0.4, phase_points=5)
+        for k, (w, s) in enumerate(e.members):
+            theta = 2 * math.pi * k / 5
+            u_vv = 1.5 * (
+                math.sqrt(0.3) * cmath.exp(0.4j) + math.sqrt(0.7) * cmath.exp(1j * theta)
+            )
+            assert w == pytest.approx(0.2)
+            assert np.max(np.abs(s.amplitudes - _expm_coherent(e.basis, 1.5, u_vv))) < 1e-6
+
+    @pytest.mark.parametrize("zeta", [1.0, 1.2j, 0.4 - 0.9j])
+    def test_squeezed_matches_expm_route(self, zeta):
+        basis = states.squeezed_basis(zeta, fock.DEFAULT_EPS)
+        amps = states.two_mode_squeezed(zeta, basis).members[0][1].amplitudes
+        ref = fock.two_mode_squeeze(fock.vacuum(basis), ModeIndex.HH, ModeIndex.VV, zeta)
+        # As above, the truncated expm distorts its top bins by about sqrt(eps).
+        assert np.max(np.abs(amps - ref.amplitudes)) < 1e-6
+
+    def test_amplitude_with_underflowing_mean_is_vacuum(self):
+        # |u|^2 underflows to 0.0 although u does not.
+        amps = states.pure_coherent(1e-170).members[0][1].amplitudes
+        assert amps.reshape(-1)[0] == 1.0
+        assert np.count_nonzero(amps) == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda basis: states.pure_coherent(3.0, basis),
+            lambda basis: states.mixed_coherent(3.0, 0.5, basis=basis),
+            lambda basis: states.two_mode_squeezed(3.0, basis),
+        ],
+    )
+    def test_small_basis_is_a_truncation_error(self, build):
+        with pytest.raises(TruncationError) as err:
+            build(BasisConfig((6, 0, 0, 6)))
+        assert err.value.required_cutoff is not None
+        assert err.value.required_cutoff > 6
 
 
 class TestBuild:
