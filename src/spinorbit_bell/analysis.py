@@ -7,6 +7,7 @@ family and serves as an independent oracle against the Fock-space route.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -28,17 +29,23 @@ class NoisePoint:
 
     @property
     def mean_ratio(self) -> float:
-        return self.mean_m / self._nonzero_itot()
+        return self.mean_m / _normal_itot(self.itot, "intensity ratios")
 
     @property
     def var_ratio(self) -> float:
         """Intensity-difference noise normalized to shot noise."""
-        return self.var_m / self._nonzero_itot()
+        return self.var_m / _normal_itot(self.itot, "intensity ratios")
 
-    def _nonzero_itot(self) -> float:
-        if self.itot == 0.0:
-            raise SimulationError("total intensity is zero; intensity ratios undefined")
-        return self.itot
+
+def _normal_itot(itot: float, what: str) -> float:
+    """The total intensity, unless it is zero or below the smallest normal float.
+
+    A subnormal intensity has lost significant digits, so a ratio to it would
+    be wrong while looking finite.
+    """
+    if itot < sys.float_info.min:
+        raise SimulationError(f"total intensity is zero or subnormal ({itot:g}); {what} undefined")
+    return itot
 
 
 @dataclass(frozen=True)
@@ -72,9 +79,7 @@ def s_parameter(ensemble: StateEnsemble, settings: ChshSettings) -> ChshResult:
     A single settings-independent total intensity normalizes the whole
     combination.
     """
-    itot = total_intensity(ensemble)
-    if itot <= 0.0:
-        raise SimulationError("total intensity is zero; S undefined for vacuum input")
+    itot = _normal_itot(total_intensity(ensemble), "S")
     points = tuple(noise_point(ensemble, pair, itot) for pair in settings.pairs())
     s = (
         points[0].mean_m + points[1].mean_m - points[2].mean_m + points[3].mean_m

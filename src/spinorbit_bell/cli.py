@@ -40,6 +40,21 @@ _PI_LITERAL = re.compile(
 )
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as ``1e-12`` and ``1.0e200``.
+
+    PyYAML's YAML 1.1 resolver needs a dot and a signed exponent in a float,
+    so it reads those two as strings.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
 def _finite(value, field: str) -> float:
     """float(value); a NaN or infinite value is a ConfigError naming the field."""
     try:
@@ -239,7 +254,7 @@ def parse_config(text: str, mode: str) -> RunConfig:
     if mode not in _MODES:
         raise ConfigError("mode", f"unknown mode {mode!r}")
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError("config", f"not valid YAML: {exc}") from None
     if doc is None:

@@ -186,14 +186,19 @@ def vacuum(basis: BasisConfig) -> PureState:
     return PureState(basis, amps)
 
 
+def _ladder_parts(arr: np.ndarray, axis: int):
+    """Index tuples for occupations 0..d-2 and 1..d-1 along axis, and sqrt(1..d-1)."""
+    d = arr.shape[axis]
+    lead = (slice(None),) * axis
+    w = np.sqrt(np.arange(1, d)).reshape((-1,) + (1,) * (arr.ndim - axis - 1))
+    return lead + (slice(0, d - 1),), lead + (slice(1, d),), w
+
+
 def _lower(arr: np.ndarray, axis: int) -> np.ndarray:
     """Annihilation action along one axis: out[n-1] += sqrt(n) arr[n]."""
-    d = arr.shape[axis]
+    below, above, w = _ladder_parts(arr, axis)
     out = np.zeros_like(arr)
-    src = np.moveaxis(arr, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    w = np.sqrt(np.arange(1, d)).reshape((-1,) + (1,) * (arr.ndim - 1))
-    dst[: d - 1] = w * src[1:]
+    out[below] = w * arr[above]
     return out
 
 
@@ -204,13 +209,12 @@ def _raise(arr: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
     outside the space; its squared amplitude (times the ladder factor) is
     returned as leakage.
     """
-    d = arr.shape[axis]
+    below, above, w = _ladder_parts(arr, axis)
     out = np.zeros_like(arr)
-    src = np.moveaxis(arr, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    w = np.sqrt(np.arange(1, d)).reshape((-1,) + (1,) * (arr.ndim - 1))
-    dst[1:] = w * src[: d - 1]
-    lost = float(d) * float(np.sum(np.abs(src[d - 1]) ** 2))
+    out[above] = w * arr[below]
+    d = arr.shape[axis]
+    top = (slice(None),) * axis + (d - 1,)
+    lost = float(d) * float(np.sum(np.abs(arr[top]) ** 2))
     return out, lost
 
 
@@ -324,6 +328,9 @@ def variance_one_body(ensemble: StateEnsemble, op: OneBodyOperator) -> float:
 #: Largest cutoff the tail searches consider before declaring divergence.
 _TAIL_SEARCH_LIMIT = 100_000
 
+#: Relative size below which a Taylor term no longer changes the sum.
+_ROUND_OFF = np.finfo(np.float64).eps / 2.0
+
 
 def log_poisson(mean_n: float, top: int) -> np.ndarray:
     """log P(X = k) of X ~ Poisson(mean_n) for k = 0..top, with mean_n > 0.
@@ -344,6 +351,10 @@ def poisson_tail_cutoff(mean_n: float, eps: float) -> int:
     """
     if mean_n <= 0.0:
         return 0
+    if not mean_n <= _TAIL_SEARCH_LIMIT:
+        raise TruncationError(
+            f"Poisson mean {mean_n:.4g} is beyond the tail search limit {_TAIL_SEARCH_LIMIT}"
+        )
     if not eps > 0.0:
         raise TruncationError(f"Poisson tail cannot fall to eps={eps}")
     # Past the mean the terms fall faster than geometrically; once below
@@ -359,14 +370,23 @@ def poisson_tail_cutoff(mean_n: float, eps: float) -> int:
     return int(np.argmax(at_least[1:] <= eps))
 
 
+def coherent_mean(u: complex) -> float:
+    """Mean photon number |u|^2 of a displacement by u; inf where it overflows."""
+    try:
+        return abs(u) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def check_displacement_room(basis: BasisConfig, mode: int, u: complex, eps: float) -> None:
     """Raise TruncationError unless a displacement by u fits on the mode's cutoff."""
     axis = int(mode)
     cutoff = basis.cutoffs[axis]
-    needed = poisson_tail_cutoff(abs(u) ** 2, eps)
+    mean = coherent_mean(u)
+    needed = poisson_tail_cutoff(mean, eps)
     if needed > cutoff:
         raise TruncationError(
-            f"displacement |u|^2={abs(u) ** 2:.4g} needs cutoff {needed} on mode "
+            f"displacement |u|^2={mean:.4g} needs cutoff {needed} on mode "
             f"{axis}, basis has {cutoff}",
             required_cutoff=needed,
         )
@@ -375,20 +395,19 @@ def check_displacement_room(basis: BasisConfig, mode: int, u: complex, eps: floa
 def displace(state: PureState, mode: int, u: complex, eps: float = DEFAULT_EPS) -> PureState:
     """Apply the displacement exp(u a+ - u* a) on one mode.
 
-    Uses the exponential of the generator truncated to the mode subspace
-    (scaling-and-squaring), which is exactly unitary on the truncated space.
+    Exponentiates the generator truncated to the mode subspace through the
+    eigendecomposition of the Hermitian matrix H = i(u a+ - u* a),
+    U = V exp(-i Lambda) V+, which is exactly unitary on the truncated space.
     It is the expm oracle for the closed-form coherent builds in ``states``.
     """
-    from scipy.linalg import expm
-
     axis = int(mode)
     check_displacement_room(state.basis, axis, u, eps)
     if u == 0:
         return state
     d = state.basis.dims[axis]
     a = np.diag(np.sqrt(np.arange(1, d)), k=1)
-    gen = u * a.T - np.conj(u) * a
-    unitary = expm(gen)
+    lam, vec = np.linalg.eigh(1j * (u * a.T - np.conj(u) * a))
+    unitary = (vec * np.exp(-1j * lam)) @ vec.conj().T
     moved = np.moveaxis(state.amplitudes, axis, 0)
     res = np.tensordot(unitary, moved, axes=(1, 0))
     return PureState(state.basis, np.moveaxis(res, 0, axis), state.leakage)
@@ -437,35 +456,21 @@ def two_mode_squeeze(
     is r = |zeta|/2. It is the expm oracle for the closed-form squeezed
     build in ``states``.
     """
-    import scipy.sparse as sp
-
     ia, ib = int(mode_a), int(mode_b)
     if ia == ib:
         raise SimulationError("two-mode squeezing needs two distinct modes")
     check_squeezing_room(state.basis, ia, ib, zeta, eps)
     if zeta == 0:
         return state
-    da = state.basis.dims[ia]
-    db = state.basis.dims[ib]
-    a = sp.diags(np.sqrt(np.arange(1, da)), 1)
-    b = sp.diags(np.sqrt(np.arange(1, db)), 1)
-    pair_down = sp.kron(a, b, format="csc")
-    gen = (np.conj(zeta) / 2.0) * pair_down - (zeta / 2.0) * pair_down.conj().T
-    return _apply_pair_exponential(state, ia, ib, gen)
+    da, db = state.basis.dims[ia], state.basis.dims[ib]
 
+    def generator(arr):
+        down = _lower(_lower(arr, ia), ib)
+        up = _raise(_raise(arr, ia)[0], ib)[0]
+        return (np.conj(zeta) / 2.0) * down - (zeta / 2.0) * up
 
-def _apply_pair_exponential(state, mode_a, mode_b, generator) -> PureState:
-    """Apply expm(generator) where generator acts on the (mode_a, mode_b) pair."""
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import expm_multiply
-
-    dims = state.basis.dims
-    da, db = dims[mode_a], dims[mode_b]
-    moved = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
-    mat = moved.reshape(da * db, -1)
-    res = expm_multiply(sp.csc_matrix(generator, dtype=np.complex128), mat)
-    res = res.reshape((da, db) + moved.shape[2:])
-    return PureState(state.basis, np.moveaxis(res, (0, 1), (mode_a, mode_b)), state.leakage)
+    norm = abs(zeta) * math.sqrt((da - 1) * (db - 1))
+    return _apply_exponential(state, generator, norm)
 
 
 def displace_pair_generator(
@@ -480,19 +485,36 @@ def displace_pair_generator(
     Used to realize displacements of collective (superposition) modes without
     assuming they factorize into per-mode displacements.
     """
-    import scipy.sparse as sp
+    ia, ib = int(mode_a), int(mode_b)
+    da, db = state.basis.dims[ia], state.basis.dims[ib]
 
-    da = state.basis.dims[mode_a]
-    db = state.basis.dims[mode_b]
-    a = sp.kron(sp.diags(np.sqrt(np.arange(1, da)), 1), sp.identity(db), format="csc")
-    b = sp.kron(sp.identity(da), sp.diags(np.sqrt(np.arange(1, db)), 1), format="csc")
-    gen = (
-        coeff_a * a.conj().T
-        + coeff_b * b.conj().T
-        - np.conj(coeff_a) * a
-        - np.conj(coeff_b) * b
-    )
-    return _apply_pair_exponential(state, int(mode_a), int(mode_b), gen)
+    def generator(arr):
+        out = coeff_a * _raise(arr, ia)[0] + coeff_b * _raise(arr, ib)[0]
+        return out - np.conj(coeff_a) * _lower(arr, ia) - np.conj(coeff_b) * _lower(arr, ib)
+
+    norm = 2.0 * (abs(coeff_a) * math.sqrt(da - 1) + abs(coeff_b) * math.sqrt(db - 1))
+    return _apply_exponential(state, generator, norm)
+
+
+def _apply_exponential(state: PureState, generator, norm: float) -> PureState:
+    """Apply exp(A) to the amplitudes, given A as an action and a bound on ||A||.
+
+    The generator acts with the truncated ladder operators P a P and P a+ P,
+    so this is the exponential of the truncated generator. It is summed as a
+    Taylor series in substeps with ||A|| / steps <= 2; past the second term
+    each term is at most 2/3 of the one before, so the series is cut once a
+    term falls below round-off.
+    """
+    steps = max(1, math.ceil(norm / 2.0))
+    arr = state.amplitudes
+    for _ in range(steps):
+        term, total, k = arr, arr.copy(), 0
+        while k < 2 or np.linalg.norm(term) > _ROUND_OFF * np.linalg.norm(total):
+            k += 1
+            term = generator(term) / (k * steps)
+            total += term
+        arr = total
+    return PureState(state.basis, arr, state.leakage)
 
 
 def number_operator(n_modes: int, mode: int) -> OneBodyOperator:

@@ -170,7 +170,7 @@ def pure_coherent(
 ) -> StateEnsemble:
     """Coherent state on the Psi+ mode: displacements u/sqrt(2) on Hh and Vv."""
     if basis is None:
-        basis = coherent_basis(abs(u) ** 2 / 2.0, eps)
+        basis = coherent_basis(fock.coherent_mean(u) / 2.0, eps)
     amp = u / math.sqrt(2.0)
     fock.check_displacement_room(basis, ModeIndex.HH, amp, eps)
     fock.check_displacement_room(basis, ModeIndex.VV, amp, eps)
@@ -198,7 +198,7 @@ def mixed_coherent(
     root_r = math.sqrt(reflectivity)
     root_t = math.sqrt(1.0 - reflectivity)
     if basis is None:
-        max_mean = max(abs(u) ** 2, (abs(u) * (root_r + root_t)) ** 2)
+        max_mean = max(fock.coherent_mean(u), fock.coherent_mean(abs(u) * (root_r + root_t)))
         basis = coherent_basis(max_mean, eps)
     fock.check_displacement_room(basis, ModeIndex.HH, u, eps)
     members = []

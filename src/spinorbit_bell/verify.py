@@ -126,7 +126,10 @@ def eight_mode_residual(rng) -> float:
     return worst
 
 
-def _catalog() -> list[tuple[str, StateEnsemble, StateSpec]]:
+_Catalog = list[tuple[str, StateEnsemble, StateSpec]]
+
+
+def _catalog() -> _Catalog:
     return [
         ("entangled_fock N=2", states.entangled_fock(2), StateSpec(Family.ENTANGLED_FOCK, n=2)),
         ("mixed_fock N=2", states.mixed_fock(2), StateSpec(Family.MIXED_FOCK, n=2)),
@@ -153,9 +156,9 @@ def _catalog() -> list[tuple[str, StateEnsemble, StateSpec]]:
     ]
 
 
-def _closed_form_checks(rng) -> list[CheckResult]:
+def _closed_form_checks(rng, catalog: _Catalog) -> list[CheckResult]:
     out = []
-    for name, ensemble, spec in _catalog():
+    for name, ensemble, spec in catalog:
         itot = analysis.total_intensity(ensemble)
         worst = 0.0
         for _ in range(5):
@@ -199,7 +202,7 @@ def _s_value_checks() -> list[CheckResult]:
     return out
 
 
-def _misc_checks(rng) -> list[CheckResult]:
+def _misc_checks(rng, catalog: _Catalog) -> list[CheckResult]:
     out = []
     worst = 0.0
     for _ in range(5):
@@ -221,7 +224,7 @@ def _misc_checks(rng) -> list[CheckResult]:
 
     # Settings independence of the total intensity.
     worst = 0.0
-    for _, ensemble, _ in _catalog():
+    for _, ensemble, _ in catalog:
         itot = analysis.total_intensity(ensemble)
         for _ in range(3):
             s = Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
@@ -232,7 +235,7 @@ def _misc_checks(rng) -> list[CheckResult]:
 
     # Mixture variance is at least the average member variance.
     worst = 0.0
-    for _, ensemble, _ in _catalog():
+    for _, ensemble, _ in catalog:
         s = Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
         total = analysis.noise_point(ensemble, s).var_m
         member_avg = sum(
@@ -333,13 +336,14 @@ def _gaussian_build_check(rng) -> CheckResult:
 
 def run_verification() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED)
+    catalog = _catalog()
     results = [_mode_power_check()]
     results.extend(_concurrence_checks(rng))
     results.extend(_partition_checks())
     results.extend(_apparatus_checks(rng))
-    results.extend(_closed_form_checks(rng))
+    results.extend(_closed_form_checks(rng, catalog))
     results.extend(_s_value_checks())
-    results.extend(_misc_checks(rng))
+    results.extend(_misc_checks(rng, catalog))
     results.append(_moment_core_check(rng))
     results.append(_gaussian_build_check(rng))
     return results

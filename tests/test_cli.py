@@ -231,10 +231,71 @@ def test_zero_intensity_scan(tmp_path, capsys):
     assert all(pt["itot"] == 0.0 for pt in doc["points"])
 
 
+def _chsh(tmp_path, capsys, text):
+    """Exit code, stdout and stderr of ``chsh`` on a config text."""
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(text + "\n")
+    rc = cli.main(["chsh", "--config", str(cfgfile)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_yaml_1_2_floats(tmp_path, capsys):
+    # YAML 1.1 reads 1e-12 (no dot, unsigned exponent) as a string.
+    plain = _chsh(tmp_path, capsys, "state: {family: pure_coherent, u: 1.0, epsilon: 1e-12}")
+    dotted = _chsh(tmp_path, capsys, "state: {family: pure_coherent, u: 1.0, epsilon: 1.0e-12}")
+    assert plain[0] == 0
+    assert plain == dotted
+    cfg = cli.parse_config("state: {family: mixed_fock, n: 2, p: 1e-1}", "chsh")
+    assert cfg.state.n == 2 and isinstance(cfg.state.n, int)
+    assert cfg.state.p == 0.1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "state: {family: pure_coherent, u: 1.0e200}",
+        "state: {family: pure_coherent, u: 1.0e+160}",
+        "state: {family: mixed_coherent, u: 1.0e+160, reflectivity: 0.5}",
+    ],
+)
+def test_overflowing_amplitude_is_a_truncation_error(tmp_path, capsys, text):
+    rc, out, err = _chsh(tmp_path, capsys, text)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("truncation error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "state: {family: mixed_coherent, u: 1.0e-160, reflectivity: 0.5}",
+        "state: {family: pure_coherent, u: 1.0e-160}",
+    ],
+)
+def test_subnormal_intensity_is_rejected(tmp_path, capsys, text):
+    rc, out, err = _chsh(tmp_path, capsys, text)
+    assert rc == 2
+    assert out == ""
+    assert "subnormal" in err
+
+
+def test_small_normal_intensity_is_accepted(tmp_path, capsys):
+    rc, out, _ = _chsh(tmp_path, capsys, "state: {family: pure_coherent, u: 1.0e-150}")
+    assert rc == 0
+    assert json.loads(out)["s_value"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)
+
+
 def test_cli_import_loads_no_scipy():
+    # Neither the CLI import nor a whole verify run, the expm oracle route
+    # included, loads a scipy module.
     code = (
         "import sys, spinorbit_bell.cli\n"
-        "print(sum(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        "count = lambda: sum(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "after_import = count()\n"
+        "spinorbit_bell.verify.run_verification()\n"
+        "print(after_import, count())"
     )
     # The child imports the same package tree as this test run.
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -243,4 +304,4 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
-    assert out.strip() == "0"
+    assert out.split() == ["0", "0"]

@@ -298,6 +298,17 @@ class TestPoissonTailCutoff:
         with pytest.raises(TruncationError):
             fock.poisson_tail_cutoff(1e9, 1e-10)
 
+    @pytest.mark.parametrize("mean", [1e300, math.inf, math.nan])
+    def test_mean_beyond_search_limit(self, mean):
+        with pytest.raises(TruncationError, match="tail search limit"):
+            fock.poisson_tail_cutoff(mean, 1e-10)
+
+    def test_overflowing_coherent_mean(self):
+        assert fock.coherent_mean(1e160) == math.inf
+        assert fock.coherent_mean(3.0 - 4.0j) == pytest.approx(25.0)
+        with pytest.raises(TruncationError):
+            fock.check_displacement_room(BasisConfig((5,)), 0, 1e160j, 1e-10)
+
 
 class TestTwoModeSqueeze:
     def test_zero_is_identity(self):
@@ -340,6 +351,101 @@ class TestTwoModeSqueeze:
     def test_same_mode_rejected(self):
         with pytest.raises(SimulationError):
             fock.two_mode_squeeze(fock.vacuum(BasisConfig((3, 3))), 1, 1, 0.5)
+
+
+def random_interior_state(rng, basis, top=3):
+    """Normalized random state whose occupations of ``top`` and more are empty."""
+    amps = np.zeros(basis.dims, dtype=np.complex128)
+    inner = tuple(slice(0, min(top, d)) for d in basis.dims)
+    shape = amps[inner].shape
+    amps[inner] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return PureState(basis, amps / np.linalg.norm(amps))
+
+
+class TestExponentialRoundTrips:
+    """exp(A) then exp(-A) is the identity on the truncated space."""
+
+    BASIS = BasisConfig((14, 2, 13))
+
+    @pytest.mark.parametrize("u", [0.7, -0.4 + 0.5j, 1.1j])
+    def test_displace(self, u):
+        rng = np.random.default_rng(11)
+        for mode in (0, 2):
+            state = random_interior_state(rng, self.BASIS)
+            out = fock.displace(state, mode, u)
+            assert out.norm() == pytest.approx(1.0, abs=1e-12)
+            back = fock.displace(out, mode, -u)
+            assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("zeta", [0.8, 0.6j, -0.5 + 0.3j])
+    def test_two_mode_squeeze(self, zeta):
+        rng = np.random.default_rng(12)
+        state = random_interior_state(rng, self.BASIS)
+        out = fock.two_mode_squeeze(state, 0, 2, zeta)
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        back = fock.two_mode_squeeze(out, 0, 2, -zeta)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+    def test_displace_pair_generator(self):
+        rng = np.random.default_rng(13)
+        state = random_interior_state(rng, self.BASIS)
+        out = fock.displace_pair_generator(state, 2, 0, 0.6, -0.3j)
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        back = fock.displace_pair_generator(out, 2, 0, -0.6, 0.3j)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+
+def _ladder(d):
+    return np.diag(np.sqrt(np.arange(1, d)), k=1)
+
+
+def _on_pair(state, mode_a, mode_b, apply):
+    """Amplitudes after ``apply`` acts on the (mode_a, mode_b) pair's rows."""
+    da, db = state.basis.dims[mode_a], state.basis.dims[mode_b]
+    moved = np.moveaxis(state.amplitudes, (mode_a, mode_b), (0, 1))
+    res = apply(moved.reshape(da * db, -1)).reshape(moved.shape)
+    return np.moveaxis(res, (0, 1), (mode_a, mode_b))
+
+
+class TestAgainstScipy:
+    """The numpy exponentials against scipy's expm and expm_multiply."""
+
+    BASIS = BasisConfig((12, 1, 11))
+
+    def test_displace(self):
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(21)
+        state = random_interior_state(rng, self.BASIS, top=12)
+        a = _ladder(self.BASIS.dims[2])
+        for u in (0.5, 0.3 - 0.6j):
+            unitary = expm(u * a.T - np.conj(u) * a)
+            ref = np.moveaxis(np.tensordot(unitary, state.amplitudes, axes=(1, 2)), 0, 2)
+            out = fock.displace(state, 2, u, eps=1e-6)
+            assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
+
+    @pytest.mark.parametrize("zeta", [0.5, 0.4 - 0.3j])
+    def test_two_mode_squeeze(self, zeta):
+        sp = pytest.importorskip("scipy.sparse")
+        expm_multiply = pytest.importorskip("scipy.sparse.linalg").expm_multiply
+        rng = np.random.default_rng(22)
+        state = random_interior_state(rng, self.BASIS, top=12)
+        pair_down = np.kron(_ladder(13), _ladder(12))
+        gen = (np.conj(zeta) / 2.0) * pair_down - (zeta / 2.0) * pair_down.conj().T
+        ref = _on_pair(state, 0, 2, lambda rows: expm_multiply(sp.csc_matrix(gen), rows))
+        out = fock.two_mode_squeeze(state, 0, 2, zeta, eps=1e-6)
+        assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
+
+    def test_displace_pair_generator(self):
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(23)
+        state = random_interior_state(rng, self.BASIS, top=12)
+        c_a, c_b = 0.4 + 0.2j, -0.5j
+        a = np.kron(_ladder(13), np.eye(12))
+        b = np.kron(np.eye(13), _ladder(12))
+        gen = c_a * a.T + c_b * b.T - np.conj(c_a) * a - np.conj(c_b) * b
+        ref = _on_pair(state, 0, 2, lambda rows: expm(gen) @ rows)
+        out = fock.displace_pair_generator(state, 0, 2, c_a, c_b)
+        assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
 
 
 def test_json_dump_round_trip():
