@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import io
 import json
 import math
@@ -32,8 +33,6 @@ from .partitions import BellModeLabel
 from .states import Family, StateSpec
 
 SCHEMA_VERSION = 1
-
-_MODES = ("chsh", "noise-scan", "mode-pattern", "verify")
 
 _PI_LITERAL = re.compile(
     r"^\s*(-)?\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$"
@@ -113,18 +112,30 @@ def _parse_complex(value, field: str) -> complex:
     raise ConfigError(field, "expected a number or a [re, im] pair")
 
 
-def _require_mapping(doc, field: str) -> dict:
+def _section(doc, field: str, required=(), optional=()) -> dict:
+    """``doc`` as a mapping with every ``required`` key and no key outside
+    ``required`` and ``optional``; a ConfigError names the first offender."""
     if not isinstance(doc, dict):
         raise ConfigError(field, "expected a mapping")
+    unknown = set(doc) - {*required, *optional}
+    if unknown:
+        # YAML keys may be numbers too, so they are ordered by their text.
+        raise ConfigError(f"{field}.{min(unknown, key=str)}", "unknown key (strict mode)")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{field}.{key}", "missing required key")
     return doc
 
 
-def _reject_unknown(doc: dict, allowed: set[str], field: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
+def _member(kind: type[enum.Enum], doc: dict, field: str, key: str):
+    """``kind(doc[key])``; an unknown value is a ConfigError listing the choices."""
+    try:
+        return kind(doc[key])
+    except ValueError:
+        names = ", ".join(m.value for m in kind)
         raise ConfigError(
-            f"{field}.{sorted(unknown)[0]}", "unknown key (strict mode)"
-        )
+            f"{field}.{key}", f"unknown {key} {doc[key]!r}; one of: {names}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -164,17 +175,10 @@ _STATE_KEYS = {"family", "u", "phi", "zeta", *_STATE_NUMBERS}
 
 
 def _parse_state(doc, field: str = "state") -> StateSpec:
-    doc = _require_mapping(doc, field)
-    _reject_unknown(doc, _STATE_KEYS, field)
-    if "family" not in doc:
-        raise ConfigError(f"{field}.family", "missing required key")
-    try:
-        family = Family(doc["family"])
-    except ValueError:
-        names = ", ".join(f.value for f in Family)
-        raise ConfigError(
-            f"{field}.family", f"unknown family {doc['family']!r}; one of: {names}"
-        ) from None
+    doc = _section(doc, field, ("family",), _STATE_KEYS)
+    family = _member(Family, doc, field, "family")
+    required, _ = states.FAMILIES[family]
+    _section(doc, field, required, _STATE_KEYS)
     kwargs = {
         key: _number(doc[key], f"{field}.{key}", *bounds)
         for key, bounds in _STATE_NUMBERS.items()
@@ -192,61 +196,55 @@ def _parse_state(doc, field: str = "state") -> StateSpec:
 
 
 def _parse_chsh_settings(doc) -> ChshSettings:
-    doc = _require_mapping(doc, "chsh_settings")
-    keys = {"alpha", "alpha_prime", "beta", "beta_prime"}
-    _reject_unknown(doc, keys, "chsh_settings")
-    missing = keys - set(doc)
-    if missing:
-        raise ConfigError(f"chsh_settings.{sorted(missing)[0]}", "missing required key")
-    return ChshSettings(
-        parse_angle(doc["alpha"], "chsh_settings.alpha"),
-        parse_angle(doc["alpha_prime"], "chsh_settings.alpha_prime"),
-        parse_angle(doc["beta"], "chsh_settings.beta"),
-        parse_angle(doc["beta_prime"], "chsh_settings.beta_prime"),
-    )
+    keys = ("alpha", "alpha_prime", "beta", "beta_prime")
+    doc = _section(doc, "chsh_settings", keys)
+    return ChshSettings(*(parse_angle(doc[k], f"chsh_settings.{k}") for k in keys))
 
 
 def _parse_axis(doc, field: str) -> tuple[float, ...]:
-    doc = _require_mapping(doc, field)
-    _reject_unknown(doc, {"start", "stop", "points"}, field)
-    for key in ("start", "stop", "points"):
-        if key not in doc:
-            raise ConfigError(f"{field}.{key}", "missing required key")
+    doc = _section(doc, field, ("start", "stop", "points"))
     points = _number(doc["points"], f"{field}.points", 1, integer=True)
     start = parse_angle(doc["start"], f"{field}.start")
     stop = parse_angle(doc["stop"], f"{field}.stop")
     if points == 1:
         return (start,)
+    if not math.isfinite(stop - start):
+        raise ConfigError(field, f"span from {start:g} to {stop:g} overflows")
     return tuple(np.linspace(start, stop, points))
 
 
 def _parse_scan_grid(doc) -> ScanGrid:
-    doc = _require_mapping(doc, "scan_grid")
-    _reject_unknown(doc, {"alpha", "beta"}, "scan_grid")
-    for key in ("alpha", "beta"):
-        if key not in doc:
-            raise ConfigError(f"scan_grid.{key}", "missing required key")
-    return ScanGrid(
-        _parse_axis(doc["alpha"], "scan_grid.alpha"),
-        _parse_axis(doc["beta"], "scan_grid.beta"),
-    )
+    doc = _section(doc, "scan_grid", ("alpha", "beta"))
+    return ScanGrid(*(_parse_axis(doc[k], f"scan_grid.{k}") for k in ("alpha", "beta")))
 
 
 def _parse_pattern(doc) -> PatternSpec:
-    doc = _require_mapping(doc, "pattern")
-    _reject_unknown(doc, {"label", "extent", "resolution"}, "pattern")
-    if "label" not in doc:
-        raise ConfigError("pattern.label", "missing required key")
-    try:
-        label = BellModeLabel(doc["label"])
-    except ValueError:
-        names = ", ".join(l.value for l in BellModeLabel)
-        raise ConfigError(
-            "pattern.label", f"unknown label {doc['label']!r}; one of: {names}"
-        ) from None
-    extent = _number(doc.get("extent", 2.0), "pattern.extent", 0.0, open_low=True)
+    doc = _section(doc, "pattern", ("label",), ("extent", "resolution"))
+    label = _member(BellModeLabel, doc, "pattern", "label")
+    # The grid spans [-extent, extent]; its length must stay finite.
+    extent = _number(
+        doc.get("extent", 2.0), "pattern.extent", 0.0, sys.float_info.max / 2, open_low=True
+    )
     resolution = _number(doc.get("resolution", 21), "pattern.resolution", 1, integer=True)
     return PatternSpec(label, extent, resolution)
+
+
+#: Each config section: its parser and its value when absent.
+_SECTIONS = {
+    "state": (_parse_state, None),
+    "chsh_settings": (_parse_chsh_settings, DEFAULT_CHSH_SETTINGS),
+    "scan_grid": (_parse_scan_grid, None),
+    "pattern": (_parse_pattern, None),
+}
+
+#: Each mode and the sections it requires; every section present is parsed
+#: whatever the mode.
+_MODES = {
+    "chsh": ("state",),
+    "noise-scan": ("state", "scan_grid"),
+    "mode-pattern": ("pattern",),
+    "verify": (),
+}
 
 
 def parse_config(text: str, mode: str) -> RunConfig:
@@ -259,9 +257,7 @@ def parse_config(text: str, mode: str) -> RunConfig:
         raise ConfigError("config", f"not valid YAML: {exc}") from None
     if doc is None:
         doc = {}
-    doc = _require_mapping(doc, "config")
-    allowed = {"state", "chsh_settings", "scan_grid", "pattern", "output", "format"}
-    _reject_unknown(doc, allowed, "config")
+    doc = _section(doc, "config", optional=(*_SECTIONS, "output", "format"))
 
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
@@ -270,31 +266,15 @@ def parse_config(text: str, mode: str) -> RunConfig:
     if fmt not in ("csv", "json"):
         raise ConfigError("format", f"expected 'csv' or 'json', got {fmt!r}")
 
-    state = None
-    if mode in ("chsh", "noise-scan"):
-        if "state" not in doc:
-            raise ConfigError("state", "missing required key")
-        state = _parse_state(doc["state"])
-    elif "state" in doc:
-        state = _parse_state(doc["state"])
-
-    chsh_settings = DEFAULT_CHSH_SETTINGS
-    if "chsh_settings" in doc:
-        chsh_settings = _parse_chsh_settings(doc["chsh_settings"])
-
-    scan_grid = None
-    if mode == "noise-scan":
-        if "scan_grid" not in doc:
-            raise ConfigError("scan_grid", "missing required key")
-        scan_grid = _parse_scan_grid(doc["scan_grid"])
-
-    pattern = None
-    if mode == "mode-pattern":
-        if "pattern" not in doc:
-            raise ConfigError("pattern", "missing required key")
-        pattern = _parse_pattern(doc["pattern"])
-
-    return RunConfig(mode, state, chsh_settings, scan_grid, pattern, output, fmt)
+    sections = {}
+    for name, (parse, default) in _SECTIONS.items():
+        if name in doc:
+            sections[name] = parse(doc[name])
+        elif name in _MODES[mode]:
+            raise ConfigError(name, "missing required key")
+        else:
+            sections[name] = default
+    return RunConfig(mode, output=output, format=fmt, **sections)
 
 
 def _chsh_document(config: RunConfig) -> dict:

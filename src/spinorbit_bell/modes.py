@@ -74,7 +74,8 @@ def hg_amplitude(orientation: str, x, y):
     if orientation not in ("h", "v"):
         raise SimulationError(f"orientation must be 'h' or 'v', got {orientation!r}")
     linear = x if orientation == "h" else y
-    return _NORM * linear * np.exp(-(x**2 + y**2) / 2.0)
+    # x * x, unlike x**2, does not raise OverflowError on a far-out Python float.
+    return _NORM * linear * np.exp(-(x * x + y * y) / 2.0)
 
 
 def eval_hg_mode(orientation: str, point: SpatialPoint) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import SimulationError
+from .errors import SimulationError, TruncationError
 from .fock import BasisConfig, ModeIndex, PureState, StateEnsemble
 from .partitions import BellModeLabel, fock_on_bell_mode
 
@@ -33,6 +33,10 @@ SOURCE_HEADROOM = 2
 #: averaging is exact for trigonometric degree < K and the intensity moments
 #: have degree <= 4; 8 adds margin.
 DEFAULT_PHASE_POINTS = 8
+
+#: Cap on the amplitudes an ensemble holds over all its members (1 GiB of
+#: complex128); ``fock.MAX_DIMENSION`` guards one member only.
+MAX_ENSEMBLE_AMPLITUDES = 2**26
 
 
 class Family(enum.Enum):
@@ -84,6 +88,15 @@ def squeezed_basis(zeta: complex, eps: float) -> BasisConfig:
     return _source_basis(fock.tmsv_tail_cutoff(abs(zeta) / 2.0, tail) + SOURCE_HEADROOM)
 
 
+def _check_ensemble_size(members: int, basis: BasisConfig) -> None:
+    """Raise TruncationError before allocating an ensemble over the guard."""
+    if members * basis.dimension > MAX_ENSEMBLE_AMPLITUDES:
+        raise TruncationError(
+            f"ensemble of {members} members of dimension {basis.dimension} exceeds "
+            f"the guard MAX_ENSEMBLE_AMPLITUDES={MAX_ENSEMBLE_AMPLITUDES}"
+        )
+
+
 def entangled_fock(n_photons: int, basis: BasisConfig | None = None) -> StateEnsemble:
     """N photons coherently shared between Hh and Vv (Fock state on Psi+)."""
     if basis is None:
@@ -110,6 +123,7 @@ def mixed_fock(n_photons: int, basis: BasisConfig | None = None) -> StateEnsembl
         basis = fock_basis(n_photons)
     if basis.cutoffs[ModeIndex.HH] < n_photons or basis.cutoffs[ModeIndex.VV] < n_photons:
         raise SimulationError("cutoffs too small for the requested photon number")
+    _check_ensemble_size(n_photons + 1, basis)
     weights = binomial_weights(n_photons)
     members = tuple(
         (w, _number_state(basis, n, n_photons - n)) for n, w in enumerate(weights)
@@ -129,6 +143,7 @@ def werner_fock(
         return entangled_fock(n_photons, basis)
     if p == 0.0:
         return mixed_fock(n_photons, basis)
+    _check_ensemble_size(n_photons + 2, basis)
     members = [(p, fock_on_bell_mode(n_photons, BellModeLabel.PSI_PLUS, basis))]
     for w, s in mixed_fock(n_photons, basis).members:
         members.append(((1.0 - p) * w, s))
@@ -201,6 +216,7 @@ def mixed_coherent(
         max_mean = max(fock.coherent_mean(u), fock.coherent_mean(abs(u) * (root_r + root_t)))
         basis = coherent_basis(max_mean, eps)
     fock.check_displacement_room(basis, ModeIndex.HH, u, eps)
+    _check_ensemble_size(phase_points, basis)
     members = []
     w = 1.0 / phase_points
     for k in range(phase_points):
@@ -232,34 +248,29 @@ def two_mode_squeezed(
     return StateEnsemble.pure(_on_source_modes(basis, pair))
 
 
+#: Each family: the StateSpec fields it requires, and its constructor.
+FAMILIES = {
+    Family.ENTANGLED_FOCK: (("n",), lambda s, basis: entangled_fock(s.n, basis)),
+    Family.MIXED_FOCK: (("n",), lambda s, basis: mixed_fock(s.n, basis)),
+    Family.WERNER_FOCK: (("n", "p"), lambda s, basis: werner_fock(s.n, s.p, basis)),
+    Family.PURE_COHERENT: (("u",), lambda s, basis: pure_coherent(s.u, basis, s.epsilon)),
+    Family.MIXED_COHERENT: (
+        ("u", "reflectivity"),
+        lambda s, basis: mixed_coherent(
+            s.u, s.reflectivity, s.phi, s.phase_points, basis, s.epsilon
+        ),
+    ),
+    Family.TWO_MODE_SQUEEZED_VACUUM: (
+        ("zeta",),
+        lambda s, basis: two_mode_squeezed(s.zeta, basis, s.epsilon),
+    ),
+}
+
+
 def build(spec: StateSpec, basis: BasisConfig | None = None) -> StateEnsemble:
     """Construct the ensemble described by a StateSpec."""
-    f = spec.family
-    if f is Family.ENTANGLED_FOCK:
-        _require(spec, "n")
-        return entangled_fock(spec.n, basis)
-    if f is Family.MIXED_FOCK:
-        _require(spec, "n")
-        return mixed_fock(spec.n, basis)
-    if f is Family.WERNER_FOCK:
-        _require(spec, "n")
-        _require(spec, "p")
-        return werner_fock(spec.n, spec.p, basis)
-    if f is Family.PURE_COHERENT:
-        _require(spec, "u")
-        return pure_coherent(spec.u, basis, spec.epsilon)
-    if f is Family.MIXED_COHERENT:
-        _require(spec, "u")
-        _require(spec, "reflectivity")
-        return mixed_coherent(
-            spec.u, spec.reflectivity, spec.phi, spec.phase_points, basis, spec.epsilon
-        )
-    if f is Family.TWO_MODE_SQUEEZED_VACUUM:
-        _require(spec, "zeta")
-        return two_mode_squeezed(spec.zeta, basis, spec.epsilon)
-    raise SimulationError(f"unknown family {f}")
-
-
-def _require(spec: StateSpec, name: str):
-    if getattr(spec, name) is None:
-        raise SimulationError(f"family {spec.family.value} requires parameter {name!r}")
+    required, construct = FAMILIES[spec.family]
+    for name in required:
+        if getattr(spec, name) is None:
+            raise SimulationError(f"family {spec.family.value} requires parameter {name!r}")
+    return construct(spec, basis)

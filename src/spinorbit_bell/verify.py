@@ -126,34 +126,17 @@ def eight_mode_residual(rng) -> float:
     return worst
 
 
+#: One state per family, at the sizes the closed-form checks use.
+_CATALOG = (
+    ("entangled_fock N=2", StateSpec(Family.ENTANGLED_FOCK, n=2)),
+    ("mixed_fock N=2", StateSpec(Family.MIXED_FOCK, n=2)),
+    ("werner_fock N=2 p=0.4", StateSpec(Family.WERNER_FOCK, n=2, p=0.4)),
+    ("pure_coherent u=1.5", StateSpec(Family.PURE_COHERENT, u=1.5)),
+    ("mixed_coherent u=1.5 R=0", StateSpec(Family.MIXED_COHERENT, u=1.5, reflectivity=0.0)),
+    ("two_mode_squeezed zeta=1", StateSpec(Family.TWO_MODE_SQUEEZED_VACUUM, zeta=1.0)),
+)
+
 _Catalog = list[tuple[str, StateEnsemble, StateSpec]]
-
-
-def _catalog() -> _Catalog:
-    return [
-        ("entangled_fock N=2", states.entangled_fock(2), StateSpec(Family.ENTANGLED_FOCK, n=2)),
-        ("mixed_fock N=2", states.mixed_fock(2), StateSpec(Family.MIXED_FOCK, n=2)),
-        (
-            "werner_fock N=2 p=0.4",
-            states.werner_fock(2, 0.4),
-            StateSpec(Family.WERNER_FOCK, n=2, p=0.4),
-        ),
-        (
-            "pure_coherent u=1.5",
-            states.pure_coherent(1.5),
-            StateSpec(Family.PURE_COHERENT, u=1.5),
-        ),
-        (
-            "mixed_coherent u=1.5 R=0",
-            states.mixed_coherent(1.5, 0.0),
-            StateSpec(Family.MIXED_COHERENT, u=1.5, reflectivity=0.0),
-        ),
-        (
-            "two_mode_squeezed zeta=1",
-            states.two_mode_squeezed(1.0),
-            StateSpec(Family.TWO_MODE_SQUEEZED_VACUUM, zeta=1.0),
-        ),
-    ]
 
 
 def _closed_form_checks(rng, catalog: _Catalog) -> list[CheckResult]:
@@ -336,7 +319,7 @@ def _gaussian_build_check(rng) -> CheckResult:
 
 def run_verification() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED)
-    catalog = _catalog()
+    catalog = [(name, states.build(spec), spec) for name, spec in _CATALOG]
     results = [_mode_power_check()]
     results.extend(_concurrence_checks(rng))
     results.extend(_partition_checks())

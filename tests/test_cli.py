@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from spinorbit_bell import cli
+from spinorbit_bell import cli, states
 from spinorbit_bell.errors import ConfigError, SimulationError
 from spinorbit_bell.states import Family
 
@@ -56,6 +56,11 @@ class TestParseConfig:
                 "state: {family: entangled_fock, n: 1, gamma: 2}", "chsh"
             )
         assert "gamma" in err.value.field
+
+    def test_unknown_keys_of_mixed_types(self):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config("state: {family: entangled_fock, n: 1, 7: 1, gamma: 2}", "chsh")
+        assert err.value.field == "state.7"
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError):
@@ -185,6 +190,15 @@ _SCAN = "scan_grid: {alpha: {start: 0, stop: %s, points: 3}, beta: {start: 0, st
             "scan_grid.alpha.stop",
         ),
         ("mode-pattern", "pattern: {label: psi_plus, extent: .inf}", "pattern.extent"),
+        # Finite grid ends whose span overflows a float.
+        (
+            "noise-scan",
+            "state: {family: mixed_fock, n: 2}\nscan_grid:\n"
+            "  alpha: {start: 1.7e308, stop: -1.7e308, points: 3}\n"
+            "  beta: {start: 0, stop: 1, points: 2}",
+            "scan_grid.alpha: span",
+        ),
+        ("mode-pattern", "pattern: {label: psi_plus, extent: 1.7e308}", "pattern.extent"),
     ],
 )
 def test_non_finite_input_is_a_config_error(tmp_path, capsys, mode, text, field):
@@ -305,3 +319,71 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     ).stdout
     assert out.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize(
+    "mode,text,field",
+    [
+        ("chsh", "state: {family: entangled_fock, n: 1}\nscan_grid: garbage", "scan_grid"),
+        (
+            "noise-scan",
+            "state: {family: mixed_fock, n: 2}\n" + _SCAN % "1" + "\npattern: 7",
+            "pattern",
+        ),
+        (
+            "mode-pattern",
+            "pattern: {label: psi_plus}\nchsh_settings: {alpha: 0}",
+            "chsh_settings.alpha_prime",
+        ),
+        ("verify", "state: {family: werner_fock, n: 1}", "state.p"),
+    ],
+)
+def test_every_section_present_is_validated(tmp_path, capsys, mode, text, field):
+    # A section the mode does not use is still checked.
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(text + "\n")
+    assert cli.main([mode, "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {field}: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "family,given,missing",
+    [
+        ("entangled_fock", "", "n"),
+        ("mixed_fock", "", "n"),
+        ("werner_fock", ", p: 0.5", "n"),
+        ("werner_fock", ", n: 1", "p"),
+        ("pure_coherent", ", n: 1", "u"),
+        ("mixed_coherent", ", reflectivity: 0.5", "u"),
+        ("mixed_coherent", ", u: 1.0", "reflectivity"),
+        ("two_mode_squeezed_vacuum", ", u: 1.0", "zeta"),
+    ],
+)
+def test_missing_family_parameter_names_the_field(family, given, missing):
+    with pytest.raises(ConfigError) as err:
+        cli.parse_config(f"state: {{family: {family}{given}}}", "chsh")
+    assert err.value.field == f"state.{missing}"
+    assert str(err.value) == f"state.{missing}: missing required key"
+
+
+def test_far_out_pattern_grid_is_zero(tmp_path, capsys):
+    # The squared radius overflows to inf, so the field is 0, not an OverflowError.
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text("pattern: {label: psi_plus, extent: 1.0e300, resolution: 3}\n")
+    assert cli.main(["mode-pattern", "--config", str(cfgfile)]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 9
+    assert all(float(v) == 0.0 for row in rows for v in row.split(",")[2:])
+
+
+def test_ensemble_guard_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(states, "MAX_ENSEMBLE_AMPLITUDES", 1000)
+    rc, out, err = _chsh(tmp_path, capsys, "state: {family: mixed_fock, n: 10}")
+    assert rc == 3
+    assert out == ""
+    assert err == (
+        "truncation error: ensemble of 11 members of dimension 169 exceeds "
+        "the guard MAX_ENSEMBLE_AMPLITUDES=1000\n"
+    )

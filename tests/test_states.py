@@ -237,6 +237,42 @@ class TestBuild:
             StateSpec(Family.PURE_COHERENT, u=1.0, epsilon=1e-2)
 
 
+class TestEnsembleGuard:
+    """The guard on members x dimension, patched low so that nothing large is built."""
+
+    @pytest.mark.parametrize(
+        "spec,members,dimension",
+        [
+            (StateSpec(Family.MIXED_FOCK, n=3), 4, 36),
+            (StateSpec(Family.WERNER_FOCK, n=3, p=0.5), 5, 36),
+            (StateSpec(Family.MIXED_COHERENT, u=1.0, reflectivity=0.5, phase_points=6), 6, None),
+        ],
+    )
+    def test_over_the_guard_before_any_member(self, monkeypatch, spec, members, dimension):
+        def no_member(*args):
+            raise AssertionError("a member was built before the guard")
+
+        for name in ("_number_state", "_coherent_pair", "fock_on_bell_mode"):
+            monkeypatch.setattr(states, name, no_member)
+        monkeypatch.setattr(states, "MAX_ENSEMBLE_AMPLITUDES", members * 35)
+        with pytest.raises(TruncationError) as err:
+            states.build(spec)
+        message = str(err.value)
+        assert f"ensemble of {members} members" in message
+        assert f"MAX_ENSEMBLE_AMPLITUDES={members * 35}" in message
+        if dimension is not None:
+            assert f"dimension {dimension}" in message
+
+    def test_at_the_guard_builds(self, monkeypatch):
+        monkeypatch.setattr(states, "MAX_ENSEMBLE_AMPLITUDES", 4 * 36)
+        assert len(states.mixed_fock(3).members) == 4
+
+    def test_guard_admits_documented_sizes(self):
+        # Arithmetic only: mixed_fock and werner_fock N=400 stay under 2**26.
+        dimension = states.fock_basis(400).dimension
+        assert 402 * dimension <= states.MAX_ENSEMBLE_AMPLITUDES
+
+
 def test_all_constructors_normalized():
     ensembles = [
         states.entangled_fock(2),
