@@ -1,7 +1,9 @@
 """Intensity averages, noise, and the CHSH parameter for catalog states.
 
-The closed-form route evaluates the known analytic expressions for each
-family and serves as an independent oracle against the Fock-space route.
+Every setting is evaluated from a state's moments (``fock.Moments``): the
+closed-form moments of ``states.build``, or those of a Fock ensemble, which
+the functions here accept too. ``closed_form`` evaluates the known analytic
+expressions for each family and serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence, TextIO
 from . import fock
 from .apparatus import ChshSettings, Settings, m_operator
 from .errors import SimulationError
-from .fock import StateEnsemble
+from .fock import Moments, StateEnsemble
 from .states import Family, StateSpec
 
 
@@ -55,32 +57,32 @@ class ChshResult:
     points: tuple[NoisePoint, NoisePoint, NoisePoint, NoisePoint]
 
 
-def total_intensity(ensemble: StateEnsemble) -> float:
+def total_intensity(state: Moments | StateEnsemble) -> float:
     """Total photon number, the trace of the moment matrix G."""
-    return float(ensemble.moments[0].trace().real)
+    return fock.as_moments(state).itot
 
 
 def noise_point(
-    ensemble: StateEnsemble, settings: Settings, itot: float | None = None
+    state: Moments | StateEnsemble, settings: Settings, itot: float | None = None
 ) -> NoisePoint:
     """Mean and mixture-level variance of M at one setting pair.
 
     A total intensity the caller already holds may be passed in.
     """
-    mean, var = fock.mean_and_variance(ensemble, m_operator(settings))
+    mean, var = fock.mean_and_variance(state, m_operator(settings))
     if itot is None:
-        itot = total_intensity(ensemble)
+        itot = total_intensity(state)
     return NoisePoint(settings, mean, var, itot)
 
 
-def s_parameter(ensemble: StateEnsemble, settings: ChshSettings) -> ChshResult:
+def s_parameter(state: Moments | StateEnsemble, settings: ChshSettings) -> ChshResult:
     """Intensity-based CHSH parameter S over the four setting pairs.
 
     A single settings-independent total intensity normalizes the whole
     combination.
     """
-    itot = _normal_itot(total_intensity(ensemble), "S")
-    points = tuple(noise_point(ensemble, pair, itot) for pair in settings.pairs())
+    itot = _normal_itot(total_intensity(state), "S")
+    points = tuple(noise_point(state, pair, itot) for pair in settings.pairs())
     s = (
         points[0].mean_m + points[1].mean_m - points[2].mean_m + points[3].mean_m
     ) / itot
@@ -157,17 +159,15 @@ def _mixed_fock_var(n: int, s2a: float, s2b: float) -> float:
 
 
 def settings_scan(
-    ensemble: StateEnsemble,
+    state: Moments | StateEnsemble,
     alphas: Sequence[float],
     betas: Sequence[float],
 ) -> list[NoisePoint]:
     """Noise point at each lattice vertex; alpha varies slowest."""
     if len(alphas) == 0 or len(betas) == 0:
         raise SimulationError("scan grid must be nonempty")
-    itot = total_intensity(ensemble)
-    return [
-        noise_point(ensemble, Settings(a, b), itot) for a in alphas for b in betas
-    ]
+    itot = total_intensity(state)
+    return [noise_point(state, Settings(a, b), itot) for a in alphas for b in betas]
 
 
 def write_scan_csv(points: Iterable[NoisePoint], stream: TextIO) -> None:

@@ -42,6 +42,12 @@ class ChshSettings:
     beta: float
     beta_prime: float
 
+    def __post_init__(self):
+        if not all(
+            math.isfinite(x) for x in (self.alpha, self.alpha_prime, self.beta, self.beta_prime)
+        ):
+            raise ValueError("settings must be finite")
+
     def pairs(self) -> tuple[Settings, Settings, Settings, Settings]:
         """Setting pairs in the order (a,b), (a,b'), (a',b), (a',b')."""
         return (

@@ -177,8 +177,7 @@ _STATE_KEYS = {"family", "u", "phi", "zeta", *_STATE_NUMBERS}
 def _parse_state(doc, field: str = "state") -> StateSpec:
     doc = _section(doc, field, ("family",), _STATE_KEYS)
     family = _member(Family, doc, field, "family")
-    required, _ = states.FAMILIES[family]
-    _section(doc, field, required, _STATE_KEYS)
+    _section(doc, field, states.FAMILIES[family].required, _STATE_KEYS)
     kwargs = {
         key: _number(doc[key], f"{field}.{key}", *bounds)
         for key, bounds in _STATE_NUMBERS.items()
@@ -278,8 +277,7 @@ def parse_config(text: str, mode: str) -> RunConfig:
 
 
 def _chsh_document(config: RunConfig) -> dict:
-    ensemble = states.build(config.state)
-    result = analysis.s_parameter(ensemble, config.chsh_settings)
+    result = analysis.s_parameter(states.build(config.state), config.chsh_settings)
     return {
         "schema_version": SCHEMA_VERSION,
         "state_family": config.state.family.value,
@@ -332,9 +330,8 @@ def run(config: RunConfig) -> str:
         return buf.getvalue()
 
     if config.mode == "noise-scan":
-        ensemble = states.build(config.state)
         points = analysis.settings_scan(
-            ensemble, config.scan_grid.alphas, config.scan_grid.betas
+            states.build(config.state), config.scan_grid.alphas, config.scan_grid.betas
         )
         if config.format == "json":
             return _render_json(
@@ -357,6 +354,8 @@ def run(config: RunConfig) -> str:
         return buf.getvalue()
 
     if config.mode == "mode-pattern":
+        if config.format != "csv":
+            raise ConfigError("format", f"mode-pattern writes CSV only, got {config.format!r}")
         rows = modes.sample_polarization_grid(
             config.pattern.label, config.pattern.extent, config.pattern.resolution
         )

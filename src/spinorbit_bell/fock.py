@@ -15,7 +15,8 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -147,16 +148,77 @@ class StateEnsemble:
         return self.members[0][1].basis
 
     @functools.cached_property
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (G, Gamma) of :func:`moments`, computed on first use."""
+    def moments(self) -> "Moments":
+        """The :class:`Moments` of the truncated state, computed on first use.
+
+        K is formed from :func:`moments` by subtraction, which is exact
+        enough at the sizes a Fock tensor can hold.
+        """
         g, gamma = moments(self)
-        g.flags.writeable = False
-        gamma.flags.writeable = False
-        return g, gamma
+        return Moments(g, gamma - np.einsum("ac,bd->abcd", g, g))
 
     @classmethod
     def pure(cls, state: PureState) -> "StateEnsemble":
         return cls(((1.0, state),))
+
+
+@dataclass(frozen=True, eq=False)
+class Moments:
+    """Normally ordered moments of a state: all that any one-body observable needs.
+
+    ``g[j, k]`` = <a+_j a_k>, and ``k`` is the connected fourth moment
+    K_abcd = <a+_a a+_b a_c a_d> - G_ac G_bd. Keeping K rather than the raw
+    fourth moment lets a variance of order itot come out of a sum whose terms
+    are of that order, not as the difference of two numbers of order itot^2.
+
+    ``oracle``, when given, builds the same state as a Fock ensemble; it runs
+    on first access to ``basis`` or ``members``, which describe that ensemble.
+    Moments that are not finite, or whose entries sum beyond the float range,
+    raise TruncationError.
+    """
+
+    g: np.ndarray
+    k: np.ndarray
+    oracle: Callable[[], StateEnsemble] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        g = np.array(self.g, dtype=np.complex128)
+        k = np.array(self.k, dtype=np.complex128)
+        # A bound on every contraction with a matrix whose entries are at most 1.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.abs(g).sum() + np.abs(k).sum()
+        if not np.isfinite(scale):
+            raise TruncationError("the moments of the state are beyond the float range")
+        g.flags.writeable = False
+        k.flags.writeable = False
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "k", k)
+
+    @property
+    def itot(self) -> float:
+        """Total photon number, the trace of G."""
+        return float(self.g.trace().real)
+
+    @functools.cached_property
+    def _ensemble(self) -> StateEnsemble:
+        if self.oracle is None:
+            raise SimulationError("these moments have no Fock oracle")
+        return self.oracle()
+
+    @property
+    def basis(self) -> BasisConfig:
+        """Basis of the Fock oracle, built on first access."""
+        return self._ensemble.basis
+
+    @property
+    def members(self) -> tuple[tuple[float, PureState], ...]:
+        """Members of the Fock oracle, built on first access."""
+        return self._ensemble.members
+
+
+def as_moments(state: Moments | StateEnsemble) -> Moments:
+    """The moments of a state given either as moments or as a Fock ensemble."""
+    return state.moments if isinstance(state, StateEnsemble) else state
 
 
 @dataclass(frozen=True)
@@ -293,36 +355,40 @@ def moments(ensemble: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
     return g_full, gamma_full
 
 
-def mean_and_variance(ensemble: StateEnsemble, op: OneBodyOperator) -> tuple[float, float]:
+def mean_and_variance(
+    state: Moments | StateEnsemble, op: OneBodyOperator
+) -> tuple[float, float]:
     """Mixture mean <B> and variance <B^2> - <B>^2 of a one-body observable.
 
-    Contracts the ensemble's cached moment tensors:
-    <B> = sum B_jk G_jk and <B^2> = sum B_ij B_kl Gamma_ikjl + sum (B^2)_il G_il.
+    Contracts the state's moments: <B> = sum B_jk G_jk and
+    var = sum B_ij B_kl K_ikjl + sum (B^2)_il G_il. The imaginary residue of
+    the mean and a negative variance are checked against 1e-9 of
+    max(1, itot), the scale of the rounding in the sums.
     """
-    g, gamma = ensemble.moments
-    if op.n_modes != g.shape[0]:
+    m = as_moments(state)
+    if op.n_modes != m.g.shape[0]:
         raise SimulationError(
-            f"operator acts on {op.n_modes} modes, state has {g.shape[0]}"
+            f"operator acts on {op.n_modes} modes, state has {m.g.shape[0]}"
         )
     b = op.matrix
-    mean = complex(np.sum(b * g))
-    if abs(mean.imag) > 1e-9:
+    tol = 1e-9 * max(1.0, m.itot)
+    mean = complex(np.sum(b * m.g))
+    if abs(mean.imag) > tol:
         raise SimulationError(f"expectation has imaginary residue {mean.imag}")
-    second = np.einsum("ij,kl,ikjl->", b, b, gamma) + np.sum((b @ b) * g)
-    var = float(second.real) - mean.real * mean.real
-    if var < -1e-9:
+    var = float((np.einsum("ij,kl,ikjl->", b, b, m.k) + np.sum((b @ b) * m.g)).real)
+    if var < -tol:
         raise SimulationError(f"negative variance {var}")
     return mean.real, var
 
 
-def expect_one_body(ensemble: StateEnsemble, op: OneBodyOperator) -> float:
+def expect_one_body(state: Moments | StateEnsemble, op: OneBodyOperator) -> float:
     """Ensemble average of a one-body observable."""
-    return mean_and_variance(ensemble, op)[0]
+    return mean_and_variance(state, op)[0]
 
 
-def variance_one_body(ensemble: StateEnsemble, op: OneBodyOperator) -> float:
+def variance_one_body(state: Moments | StateEnsemble, op: OneBodyOperator) -> float:
     """Mixture-level variance <B^2> - <B>^2 of a one-body observable."""
-    return mean_and_variance(ensemble, op)[1]
+    return mean_and_variance(state, op)[1]
 
 
 #: Largest cutoff the tail searches consider before declaring divergence.

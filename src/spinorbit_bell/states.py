@@ -1,28 +1,36 @@
 """Catalog of the six input-state families used in the Bell-noise comparison.
 
-The Gaussian families (coherent, mixed coherent, two-mode squeezed) are built
-from their closed-form number-basis amplitudes, truncated at the cutoffs and
-renormalized; ``fock.displace`` and ``fock.two_mode_squeeze`` remain as the
-expm route that ``verify`` checks them against.
+``build`` gives a state's moments (``fock.Moments``) from each family's
+closed form, in constant time and memory whatever the photon number,
+amplitude or squeezing. The Fock builders (``entangled_fock`` ...
+``two_mode_squeezed``, reached from a StateSpec through ``fock_ensemble``)
+are the oracle that ``verify`` and the tests check the closed forms against;
+``epsilon``, ``phase_points``, ``fock.MAX_DIMENSION`` and
+``MAX_ENSEMBLE_AMPLITUDES`` govern only them.
 
-All families excite only the Hh and Vv modes, so the measurement-only modes
-Hv and Vh carry cutoff 0. Observables are evaluated from the moment tensors
-of the state (``fock.moments``), which never raise a photon into a mode, so
-no room for moved photons is needed.
+The Gaussian Fock builders (coherent, mixed coherent, two-mode squeezed) use
+the closed-form number-basis amplitudes, truncated at the cutoffs and
+renormalized; ``fock.displace`` and ``fock.two_mode_squeeze`` remain as the
+expm route that ``verify`` checks them against. All families excite only the
+Hh and Vv modes, so the measurement-only modes Hv and Vh carry cutoff 0:
+``fock.moments`` only lowers, so no room for moved photons is needed.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fock
 from .errors import SimulationError, TruncationError
-from .fock import BasisConfig, ModeIndex, PureState, StateEnsemble
+from .fock import BasisConfig, ModeIndex, Moments, PureState, StateEnsemble
 from .partitions import BellModeLabel, fock_on_bell_mode
 
 #: Extra headroom on source-mode cutoffs so that boundary bins carry mass
@@ -63,6 +71,19 @@ class StateSpec:
     epsilon: float = fock.DEFAULT_EPS
 
     def __post_init__(self):
+        if self.n is not None:
+            if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool) or self.n < 0:
+                raise SimulationError(f"n={self.n!r} is not a nonnegative integer")
+            # A Python int, so that N(N-1) cannot wrap around as a fixed-width one would.
+            object.__setattr__(self, "n", int(self.n))
+        for name in ("p", "reflectivity"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise SimulationError(f"{name}={value} outside [0, 1]")
+        for name in ("u", "zeta", "phi"):
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(value):
+                raise SimulationError(f"{name}={value} is not finite")
         if not 0.0 < self.epsilon <= 1e-3:
             raise SimulationError(f"epsilon {self.epsilon} outside (0, 1e-3]")
         if self.phase_points < 5:
@@ -248,29 +269,162 @@ def two_mode_squeezed(
     return StateEnsemble.pure(_on_source_modes(basis, pair))
 
 
-#: Each family: the StateSpec fields it requires, and its constructor.
+#: The Psi+ mode vector (e_Hh + e_Vv)/sqrt(2) on (Hh, Hv, Vh, Vv).
+_PSI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+
+
+def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The fourth-rank tensor x_ac y_bd."""
+    return np.einsum("ac,bd->abcd", x, y)
+
+
+def _entangled_fock_moments(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """G = N v*v^T and K = -N v*_a v*_b v_c v_d for N photons in the mode v."""
+    v = _PSI_PLUS
+    return n * np.outer(v, v), -n * np.einsum("a,b,c,d->abcd", v, v, v, v)
+
+
+def _mixed_fock_moments(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The binomial mixture of |m, N-m> on (Hh, Vv).
+
+    G = diag(N/2, 0, 0, N/2); K_abab = -N/4 and K_abba = N(N-1)/4 (a != b)
+    for a, b in {Hh, Vv}, written directly rather than as Gamma - G G.
+    """
+    source = (ModeIndex.HH, ModeIndex.VV)
+    g = np.zeros((4, 4))
+    k = np.zeros((4,) * 4)
+    for a in source:
+        g[a, a] = n / 2
+        for b in source:
+            k[a, b, b, a] = n * (n - 1) / 4
+            k[a, b, a, b] = -n / 4
+    return g, k
+
+
+def _werner_fock_moments(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture p entangled + (1-p) dephased: K gains p(1-p) dG_ac dG_bd."""
+    g_e, k_e = _entangled_fock_moments(n)
+    g_m, k_m = _mixed_fock_moments(n)
+    delta = g_e - g_m
+    g = p * g_e + (1.0 - p) * g_m
+    return g, p * k_e + (1.0 - p) * k_m + p * (1.0 - p) * _pair(delta, delta)
+
+
+def _coherent_moments(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = alpha* alpha^T and K = 0 for the coherent amplitudes alpha."""
+    return np.outer(alpha.conj(), alpha), np.zeros((4,) * 4)
+
+
+def _mixed_coherent_moments(
+    u: complex, reflectivity: float, phi: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The phase average of coherent states with amplitudes m + e^{i theta} f.
+
+    m = (u, 0, 0, u sqrt(R) e^{i phi}) and f = (0, 0, 0, u sqrt(1-R)). Member
+    G's deviate from their average m*m^T + f*f^T by e^{i theta} X +
+    e^{-i theta} Y with X = m* f^T and Y = f* m^T, so the average of
+    (G - G_avg)_ac (G - G_avg)_bd, which is K, is X_ac Y_bd + Y_ac X_bd. It
+    equals the discrete average over any number of phase points from 3 on.
+    """
+    m = np.array([u, 0.0, 0.0, u * math.sqrt(reflectivity) * cmath.exp(1j * phi)])
+    f = np.array([0.0, 0.0, 0.0, u * math.sqrt(1.0 - reflectivity)])
+    x, y = np.outer(m.conj(), f), np.outer(f.conj(), m)
+    return np.outer(m.conj(), m) + np.outer(f.conj(), f), _pair(x, y) + _pair(y, x)
+
+
+def _two_mode_squeezed_moments(zeta: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Wick/Isserlis moments of the two-mode squeezed vacuum on (Hh, Vv).
+
+    With r = |zeta|/2 and theta = arg zeta: N = <a+a> = sinh^2 r on both
+    modes, M = <a_Hh a_Vv> = -e^{i theta} sinh r cosh r, and
+    K_abcd = G_ad G_bc + M*_ab M_cd.
+    """
+    r = abs(zeta) / 2.0
+    sinh = math.sinh(r)
+    g = np.zeros((4, 4))
+    g[ModeIndex.HH, ModeIndex.HH] = g[ModeIndex.VV, ModeIndex.VV] = sinh * sinh
+    pairing = np.zeros((4, 4), dtype=np.complex128)
+    pairing[ModeIndex.HH, ModeIndex.VV] = pairing[ModeIndex.VV, ModeIndex.HH] = (
+        -cmath.exp(1j * cmath.phase(zeta)) * sinh * math.cosh(r)
+    )
+    k = np.einsum("ad,bc->abcd", g, g) + np.einsum("ab,cd->abcd", pairing.conj(), pairing)
+    return g, k
+
+
+class FamilyRoutes(NamedTuple):
+    """What the package knows of one family."""
+
+    #: StateSpec fields the family requires.
+    required: tuple[str, ...]
+    #: The state as a Fock ensemble, on a given basis or a default one.
+    fock: Callable[[StateSpec, BasisConfig | None], StateEnsemble]
+    #: The state's (G, K) in closed form.
+    moments: Callable[[StateSpec], tuple[np.ndarray, np.ndarray]]
+
+
 FAMILIES = {
-    Family.ENTANGLED_FOCK: (("n",), lambda s, basis: entangled_fock(s.n, basis)),
-    Family.MIXED_FOCK: (("n",), lambda s, basis: mixed_fock(s.n, basis)),
-    Family.WERNER_FOCK: (("n", "p"), lambda s, basis: werner_fock(s.n, s.p, basis)),
-    Family.PURE_COHERENT: (("u",), lambda s, basis: pure_coherent(s.u, basis, s.epsilon)),
-    Family.MIXED_COHERENT: (
+    Family.ENTANGLED_FOCK: FamilyRoutes(
+        ("n",),
+        lambda s, basis: entangled_fock(s.n, basis),
+        lambda s: _entangled_fock_moments(s.n),
+    ),
+    Family.MIXED_FOCK: FamilyRoutes(
+        ("n",),
+        lambda s, basis: mixed_fock(s.n, basis),
+        lambda s: _mixed_fock_moments(s.n),
+    ),
+    Family.WERNER_FOCK: FamilyRoutes(
+        ("n", "p"),
+        lambda s, basis: werner_fock(s.n, s.p, basis),
+        lambda s: _werner_fock_moments(s.n, s.p),
+    ),
+    Family.PURE_COHERENT: FamilyRoutes(
+        ("u",),
+        lambda s, basis: pure_coherent(s.u, basis, s.epsilon),
+        lambda s: _coherent_moments(s.u * _PSI_PLUS),
+    ),
+    Family.MIXED_COHERENT: FamilyRoutes(
         ("u", "reflectivity"),
         lambda s, basis: mixed_coherent(
             s.u, s.reflectivity, s.phi, s.phase_points, basis, s.epsilon
         ),
+        lambda s: _mixed_coherent_moments(s.u, s.reflectivity, s.phi),
     ),
-    Family.TWO_MODE_SQUEEZED_VACUUM: (
+    Family.TWO_MODE_SQUEEZED_VACUUM: FamilyRoutes(
         ("zeta",),
         lambda s, basis: two_mode_squeezed(s.zeta, basis, s.epsilon),
+        lambda s: _two_mode_squeezed_moments(s.zeta),
     ),
 }
 
 
-def build(spec: StateSpec, basis: BasisConfig | None = None) -> StateEnsemble:
-    """Construct the ensemble described by a StateSpec."""
-    required, construct = FAMILIES[spec.family]
-    for name in required:
+def _routes(spec: StateSpec) -> FamilyRoutes:
+    routes = FAMILIES[spec.family]
+    for name in routes.required:
         if getattr(spec, name) is None:
             raise SimulationError(f"family {spec.family.value} requires parameter {name!r}")
-    return construct(spec, basis)
+    return routes
+
+
+def build(spec: StateSpec) -> Moments:
+    """The moments of the state described by a StateSpec, in closed form.
+
+    No Fock tensor is built: time and memory do not depend on the state's
+    size. The returned moments carry :func:`fock_ensemble` of the same spec as
+    their oracle, which only ``basis`` and ``members`` build. Moments beyond
+    the float range raise TruncationError.
+    """
+    routes = _routes(spec)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, k = routes.moments(spec)
+    except OverflowError:
+        raise TruncationError("the moments of the state are beyond the float range") from None
+    return Moments(g, k, oracle=functools.partial(fock_ensemble, spec))
+
+
+def fock_ensemble(spec: StateSpec, basis: BasisConfig | None = None) -> StateEnsemble:
+    """The state described by a StateSpec as a Fock ensemble: the oracle for
+    :func:`build`. The basis defaults to the family's own cutoffs, guarded by
+    ``fock.MAX_DIMENSION`` and ``MAX_ENSEMBLE_AMPLITUDES``."""
+    return _routes(spec).fock(spec, basis)

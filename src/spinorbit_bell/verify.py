@@ -2,8 +2,9 @@
 
 Each check pits the Fock-space simulation against an independent reference:
 the analytic closed forms, direct quadrature, or an alternative construction
-of the same state. Randomized checks use a fixed seed so runs are
-reproducible byte for byte.
+of the same state; the last one checks the closed-form moments that the CLI
+evaluates against the Fock-tensor moments. Randomized checks use a fixed
+seed so runs are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -317,9 +318,53 @@ def _gaussian_build_check(rng) -> CheckResult:
     return _check("closed-form Gaussian builds vs expm route", worst, 1e-9)
 
 
+def _random_specs(rng) -> list[StateSpec]:
+    """One state per family with seeded parameters at Fock-oracle sizes."""
+
+    def amplitude(bound: float) -> complex:
+        return complex(*rng.uniform(-bound, bound, 2))
+
+    return [
+        StateSpec(Family.ENTANGLED_FOCK, n=int(rng.integers(1, 6))),
+        StateSpec(Family.MIXED_FOCK, n=int(rng.integers(1, 6))),
+        StateSpec(Family.WERNER_FOCK, n=int(rng.integers(1, 6)), p=float(rng.uniform())),
+        StateSpec(Family.PURE_COHERENT, u=amplitude(1.0)),
+        StateSpec(
+            Family.MIXED_COHERENT,
+            u=amplitude(1.0),
+            reflectivity=float(rng.uniform()),
+            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+        ),
+        StateSpec(Family.TWO_MODE_SQUEEZED_VACUUM, zeta=amplitude(1.0)),
+    ]
+
+
+def _closed_form_moments_check(rng, catalog: _Catalog) -> CheckResult:
+    """Closed-form moments of ``states.build`` against the Fock-tensor moments.
+
+    The catalog states and one seeded random state per family, each at the
+    same three seeded settings; residuals are relative to the total intensity.
+    """
+    cases = [(spec, ensemble) for _, ensemble, spec in catalog]
+    cases.extend((spec, states.fock_ensemble(spec)) for spec in _random_specs(rng))
+    ops = [
+        apparatus.m_operator(Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi)))
+        for _ in range(3)
+    ]
+    worst = 0.0
+    for spec, ensemble in cases:
+        closed = states.build(spec)
+        itot = analysis.total_intensity(ensemble)
+        for op in ops:
+            a = fock.mean_and_variance(closed, op)
+            b = fock.mean_and_variance(ensemble, op)
+            worst = max(worst, *(abs(x - y) / itot for x, y in zip(a, b)))
+    return _check("closed-form moments vs Fock-tensor moments", worst, 1e-9)
+
+
 def run_verification() -> list[CheckResult]:
     rng = np.random.default_rng(_SEED)
-    catalog = [(name, states.build(spec), spec) for name, spec in _CATALOG]
+    catalog = [(name, states.fock_ensemble(spec), spec) for name, spec in _CATALOG]
     results = [_mode_power_check()]
     results.extend(_concurrence_checks(rng))
     results.extend(_partition_checks())
@@ -329,6 +374,7 @@ def run_verification() -> list[CheckResult]:
     results.extend(_misc_checks(rng, catalog))
     results.append(_moment_core_check(rng))
     results.append(_gaussian_build_check(rng))
+    results.append(_closed_form_moments_check(rng, catalog))
     return results
 
 

@@ -141,10 +141,10 @@ class TestClosedForm:
 def test_measurement_modes_need_no_cutoff(spec):
     # Hv/Vh carry cutoff 0 by default; a basis with cutoff 2 there, room for
     # every photon M can move, must give the same noise points.
-    small = states.build(spec)
+    small = states.fock_ensemble(spec)
     hh, hv, vh, vv = small.basis.cutoffs
     assert (hv, vh) == (0, 0)
-    large = states.build(spec, BasisConfig((hh, 2, 2, vv)))
+    large = states.fock_ensemble(spec, BasisConfig((hh, 2, 2, vv)))
     for s in (Settings(0.3, 1.1), Settings(2.0, 0.7), Settings(0.0, math.pi / 4)):
         a = analysis.noise_point(small, s)
         b = analysis.noise_point(large, s)

@@ -119,3 +119,12 @@ def test_eight_mode_vacuum_port_reduction():
 def test_settings_must_be_finite():
     with pytest.raises(ValueError):
         Settings(float("nan"), 0.0)
+
+
+@pytest.mark.parametrize("field", ["alpha", "alpha_prime", "beta", "beta_prime"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_chsh_settings_must_be_finite(field, value):
+    angles = dict(alpha=0.1, alpha_prime=0.2, beta=0.3, beta_prime=0.4)
+    angles[field] = value
+    with pytest.raises(ValueError):
+        ChshSettings(**angles)

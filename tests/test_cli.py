@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from spinorbit_bell import cli, states
-from spinorbit_bell.errors import ConfigError, SimulationError
-from spinorbit_bell.states import Family
+from spinorbit_bell import analysis, cli, fock, states
+from spinorbit_bell.apparatus import Settings
+from spinorbit_bell.errors import ConfigError, SimulationError, TruncationError
+from spinorbit_bell.states import Family, StateSpec
 
 
 class TestAngleParsing:
@@ -210,13 +211,11 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, mode, text, field)
     assert captured.out == ""
 
 
-def test_dimension_guard_is_a_truncation_error(tmp_path, capsys):
-    cfgfile = tmp_path / "run.yaml"
-    cfgfile.write_text("state: {family: entangled_fock, n: 2000}\n")
-    assert cli.main(["chsh", "--config", str(cfgfile)]) == 3
-    err = capsys.readouterr().err
-    assert "truncation error" in err
-    assert "4012009" in err
+def test_dimension_guard_is_a_truncation_error():
+    # The guard now bounds the Fock oracle only; the CLI runs on closed-form
+    # moments (see test_beyond_the_oracle_caps).
+    with pytest.raises(TruncationError, match="4012009"):
+        states.entangled_fock(2000)
 
 
 def test_json_output_is_strict():
@@ -271,6 +270,9 @@ def test_yaml_1_2_floats(tmp_path, capsys):
         "state: {family: pure_coherent, u: 1.0e200}",
         "state: {family: pure_coherent, u: 1.0e+160}",
         "state: {family: mixed_coherent, u: 1.0e+160, reflectivity: 0.5}",
+        # sinh^2 r overflows; past r = 710, sinh r itself does.
+        "state: {family: two_mode_squeezed_vacuum, zeta: 1000}",
+        "state: {family: two_mode_squeezed_vacuum, zeta: [0, 1500]}",
     ],
 )
 def test_overflowing_amplitude_is_a_truncation_error(tmp_path, capsys, text):
@@ -379,11 +381,94 @@ def test_far_out_pattern_grid_is_zero(tmp_path, capsys):
 
 
 def test_ensemble_guard_exits_3(tmp_path, capsys, monkeypatch):
+    # The guard bounds the Fock oracle only: chsh, on closed-form moments,
+    # succeeds while the oracle builder of the same state refuses.
     monkeypatch.setattr(states, "MAX_ENSEMBLE_AMPLITUDES", 1000)
     rc, out, err = _chsh(tmp_path, capsys, "state: {family: mixed_fock, n: 10}")
-    assert rc == 3
-    assert out == ""
-    assert err == (
-        "truncation error: ensemble of 11 members of dimension 169 exceeds "
-        "the guard MAX_ENSEMBLE_AMPLITUDES=1000\n"
+    assert rc == 0
+    assert err == ""
+    with pytest.raises(TruncationError) as exc:
+        states.fock_ensemble(StateSpec(Family.MIXED_FOCK, n=10))
+    assert str(exc.value) == (
+        "ensemble of 11 members of dimension 169 exceeds "
+        "the guard MAX_ENSEMBLE_AMPLITUDES=1000"
     )
+
+
+#: States past every cap of the Fock oracle (dimension, ensemble size, Poisson
+#: tail search), at which the CLI's closed-form moments still run.
+_BEYOND_THE_ORACLE = [
+    ("{family: entangled_fock, n: 2000}", StateSpec(Family.ENTANGLED_FOCK, n=2000)),
+    ("{family: mixed_fock, n: 1000000}", StateSpec(Family.MIXED_FOCK, n=10**6)),
+    (
+        "{family: werner_fock, n: 1000000, p: 0.3}",
+        StateSpec(Family.WERNER_FOCK, n=10**6, p=0.3),
+    ),
+    (
+        "{family: two_mode_squeezed_vacuum, zeta: 20}",
+        StateSpec(Family.TWO_MODE_SQUEEZED_VACUUM, zeta=20.0),
+    ),
+    # At u = 1e6 a variance formed as <M^2> - <M>^2 from the raw fourth
+    # moment is off by about 4e-5 of itot.
+    ("{family: pure_coherent, u: 1.0e+6}", StateSpec(Family.PURE_COHERENT, u=1e6)),
+    (
+        "{family: mixed_coherent, u: 1.0e+4, reflectivity: 0}",
+        StateSpec(Family.MIXED_COHERENT, u=1e4, reflectivity=0.0),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "state,spec", _BEYOND_THE_ORACLE, ids=[spec.family.value for _, spec in _BEYOND_THE_ORACLE]
+)
+def test_beyond_the_oracle_caps(tmp_path, capsys, state, spec):
+    rc, out, err = _chsh(tmp_path, capsys, f"state: {state}")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    itot = analysis.closed_form_itot(spec)
+    for pt in doc["points"]:
+        mean_ref, var_ref = analysis.closed_form(spec, Settings(pt["alpha"], pt["beta"]))
+        assert pt["itot"] == pytest.approx(itot, rel=1e-12)
+        assert abs(pt["mean_m"] / pt["itot"] - mean_ref) <= 1e-12
+        assert pt["var_m"] / pt["itot"] == pytest.approx(var_ref, rel=1e-12)
+
+
+_EVERY_FAMILY = [
+    "{family: entangled_fock, n: 3}",
+    "{family: mixed_fock, n: 3}",
+    "{family: werner_fock, n: 3, p: 0.5}",
+    "{family: pure_coherent, u: [1.0, 0.5]}",
+    "{family: mixed_coherent, u: 1.5, reflectivity: 0.25, phi: 0.3}",
+    "{family: two_mode_squeezed_vacuum, zeta: 1.0}",
+]
+
+
+@pytest.mark.parametrize("state", _EVERY_FAMILY)
+def test_production_path_builds_no_fock_tensor(tmp_path, capsys, monkeypatch, state):
+    def no_fock(*args, **kwargs):
+        raise AssertionError("a Fock tensor was built")
+
+    monkeypatch.setattr(fock.PureState, "__post_init__", no_fock)
+    monkeypatch.setattr(fock, "moments", no_fock)
+    rc, out, err = _chsh(tmp_path, capsys, f"state: {state}")
+    assert (rc, err) == (0, "")
+    cfgfile = tmp_path / "scan.yaml"
+    cfgfile.write_text(f"state: {state}\n" + _SCAN % "3" + "\n")
+    assert cli.main(["noise-scan", "--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_mode_pattern_rejects_json(tmp_path, capsys, how):
+    cfgfile = tmp_path / "run.yaml"
+    text = "pattern: {label: psi_plus, resolution: 3}\n"
+    argv = ["mode-pattern", "--config", str(cfgfile)]
+    if how == "config":
+        text += "format: json\n"
+    else:
+        argv += ["--format", "json"]
+    cfgfile.write_text(text)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: format: ")

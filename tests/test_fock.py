@@ -226,7 +226,7 @@ class TestMoments:
         e = StateEnsemble.pure(number_state(BasisConfig((1, 1)), (1, 0)))
         assert e.moments is e.moments
         with pytest.raises(ValueError):
-            e.moments[0][0, 0] = 5.0
+            e.moments.g[0, 0] = 5.0
 
 
 class TestDisplace:

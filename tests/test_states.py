@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorbit_bell import analysis, fock, states
 from spinorbit_bell.apparatus import DEFAULT_CHSH_SETTINGS, Settings
@@ -237,6 +239,96 @@ class TestBuild:
             StateSpec(Family.PURE_COHERENT, u=1.0, epsilon=1e-2)
 
 
+class TestSpecValidation:
+    """StateSpec checks its own fields; ``build`` calls no Fock builder that would."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"family": Family.ENTANGLED_FOCK, "n": -1},
+            {"family": Family.ENTANGLED_FOCK, "n": 2.0},
+            {"family": Family.ENTANGLED_FOCK, "n": True},
+            {"family": Family.WERNER_FOCK, "n": 1, "p": 1.5},
+            {"family": Family.WERNER_FOCK, "n": 1, "p": -0.1},
+            {"family": Family.WERNER_FOCK, "n": 1, "p": math.nan},
+            {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": 2.0},
+            {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": -0.5},
+            {"family": Family.PURE_COHERENT, "u": complex(math.inf, 0.0)},
+            {"family": Family.PURE_COHERENT, "u": complex(0.0, math.nan)},
+            {"family": Family.TWO_MODE_SQUEEZED_VACUUM, "zeta": math.inf},
+            {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": 0.5, "phi": math.nan},
+        ],
+        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items() if k != "family"),
+    )
+    def test_out_of_range_field(self, kwargs):
+        with pytest.raises(SimulationError):
+            StateSpec(**kwargs)
+
+    def test_integer_types_accepted(self):
+        assert type(StateSpec(Family.MIXED_FOCK, n=np.int64(3)).n) is int
+        assert StateSpec(Family.MIXED_FOCK, n=0).n == 0
+
+
+def _family_specs():
+    """StateSpecs of every family at sizes the Fock oracle holds."""
+    amplitude = st.builds(complex, st.floats(-1.4, 1.4), st.floats(-1.4, 1.4))  # |u| < 2
+    unit = st.floats(0.0, 1.0)
+    return st.one_of(
+        st.builds(StateSpec, st.just(Family.ENTANGLED_FOCK), n=st.integers(0, 12)),
+        st.builds(StateSpec, st.just(Family.MIXED_FOCK), n=st.integers(0, 12)),
+        st.builds(StateSpec, st.just(Family.WERNER_FOCK), n=st.integers(0, 12), p=unit),
+        st.builds(StateSpec, st.just(Family.PURE_COHERENT), u=amplitude),
+        st.builds(
+            StateSpec,
+            st.just(Family.MIXED_COHERENT),
+            u=amplitude,
+            reflectivity=unit,
+            phi=st.floats(-4.0, 4.0),
+            phase_points=st.integers(5, 9),
+        ),
+        st.builds(
+            StateSpec,
+            st.just(Family.TWO_MODE_SQUEEZED_VACUUM),
+            zeta=st.builds(complex, st.floats(-1.06, 1.06), st.floats(-1.06, 1.06)),
+        ),
+    )
+
+
+class TestClosedFormMoments:
+    @settings(max_examples=120, deadline=None)
+    @given(_family_specs())
+    def test_matches_fock_oracle(self, spec):
+        closed = states.build(spec)
+        oracle = states.fock_ensemble(spec).moments
+        itot = oracle.itot
+        # The Fock builders take an amplitude whose |u|^2 underflows as vacuum.
+        assert np.max(np.abs(closed.g - oracle.g)) <= 1e-9 * itot + 1e-300
+        assert np.max(np.abs(closed.k - oracle.k)) <= 1e-9 * max(1.0, itot**2)
+
+    def test_read_only_and_lazy_oracle(self, monkeypatch):
+        spec = StateSpec(Family.MIXED_FOCK, n=3)
+        calls = []
+        real = states.fock_ensemble
+        monkeypatch.setattr(states, "fock_ensemble", lambda s: calls.append(s) or real(s))
+        m = states.build(spec)
+        with pytest.raises(ValueError):
+            m.k[0, 0, 0, 0] = 1.0
+        assert m.itot == 3.0
+        assert calls == []
+        assert (m.basis.dimension, len(m.members)) == (36, 4)
+        # Built once, on first access.
+        assert calls == [spec]
+
+    def test_overflow_is_a_truncation_error(self):
+        for spec in (
+            StateSpec(Family.PURE_COHERENT, u=1e160),
+            StateSpec(Family.TWO_MODE_SQUEEZED_VACUUM, zeta=2000.0),
+            StateSpec(Family.MIXED_FOCK, n=10**400),
+        ):
+            with pytest.raises(TruncationError, match="beyond the float range"):
+                states.build(spec)
+
+
 class TestEnsembleGuard:
     """The guard on members x dimension, patched low so that nothing large is built."""
 
@@ -256,7 +348,7 @@ class TestEnsembleGuard:
             monkeypatch.setattr(states, name, no_member)
         monkeypatch.setattr(states, "MAX_ENSEMBLE_AMPLITUDES", members * 35)
         with pytest.raises(TruncationError) as err:
-            states.build(spec)
+            states.fock_ensemble(spec)
         message = str(err.value)
         assert f"ensemble of {members} members" in message
         assert f"MAX_ENSEMBLE_AMPLITUDES={members * 35}" in message
