@@ -62,17 +62,10 @@ def total_intensity(state: Moments | StateEnsemble) -> float:
     return fock.as_moments(state).itot
 
 
-def noise_point(
-    state: Moments | StateEnsemble, settings: Settings, itot: float | None = None
-) -> NoisePoint:
-    """Mean and mixture-level variance of M at one setting pair.
-
-    A total intensity the caller already holds may be passed in.
-    """
+def noise_point(state: Moments | StateEnsemble, settings: Settings) -> NoisePoint:
+    """Mean and mixture-level variance of M at one setting pair."""
     mean, var = fock.mean_and_variance(state, m_operator(settings))
-    if itot is None:
-        itot = total_intensity(state)
-    return NoisePoint(settings, mean, var, itot)
+    return NoisePoint(settings, mean, var, total_intensity(state))
 
 
 def s_parameter(state: Moments | StateEnsemble, settings: ChshSettings) -> ChshResult:
@@ -82,7 +75,7 @@ def s_parameter(state: Moments | StateEnsemble, settings: ChshSettings) -> ChshR
     combination.
     """
     itot = _normal_itot(total_intensity(state), "S")
-    points = tuple(noise_point(state, pair, itot) for pair in settings.pairs())
+    points = tuple(noise_point(state, pair) for pair in settings.pairs())
     s = (
         points[0].mean_m + points[1].mean_m - points[2].mean_m + points[3].mean_m
     ) / itot
@@ -166,8 +159,7 @@ def settings_scan(
     """Noise point at each lattice vertex; alpha varies slowest."""
     if len(alphas) == 0 or len(betas) == 0:
         raise SimulationError("scan grid must be nonempty")
-    itot = total_intensity(state)
-    return [noise_point(state, Settings(a, b), itot) for a in alphas for b in betas]
+    return [noise_point(state, Settings(a, b)) for a in alphas for b in betas]
 
 
 def write_scan_csv(points: Iterable[NoisePoint], stream: TextIO) -> None:
@@ -183,25 +175,3 @@ def write_scan_csv(points: Iterable[NoisePoint], stream: TextIO) -> None:
             pt.var_ratio,
         )
         stream.write(",".join(f"{v:.12g}" for v in row) + "\n")
-
-
-def werner_decomposition_check(n_photons: int, p: float, settings: Settings) -> float:
-    """Residual of the Werner variance decomposition, all terms simulated.
-
-    The mixture variance must equal the weighted member variances plus the
-    spread term p(1-p)(<M>_pure - <M>_mix)^2.
-    """
-    from . import states
-
-    werner = states.werner_fock(n_photons, p)
-    pure = states.entangled_fock(n_photons)
-    mix = states.mixed_fock(n_photons)
-    pt_w = noise_point(werner, settings)
-    pt_p = noise_point(pure, settings)
-    pt_m = noise_point(mix, settings)
-    combined = (
-        p * pt_p.var_m
-        + (1.0 - p) * pt_m.var_m
-        + p * (1.0 - p) * (pt_p.mean_m - pt_m.mean_m) ** 2
-    )
-    return abs(pt_w.var_m - combined)

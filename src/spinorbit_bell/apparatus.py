@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import ModeIndex, OneBodyOperator
+from .fock import OneBodyOperator
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,6 @@ def setting_unitary(settings: Settings) -> np.ndarray:
     return np.kron(reflection_matrix(settings.alpha), reflection_matrix(settings.beta))
 
 
-def mzim_sort() -> dict[tuple[int, ModeIndex], int]:
-    """Routing map (input port, mode) -> output port of the ideal sorter."""
-    routing = {}
-    for mode in ModeIndex:
-        even = mode in (ModeIndex.HH, ModeIndex.VV)
-        routing[(1, mode)] = 1 if even else 2
-        routing[(2, mode)] = 2 if even else 1
-    return routing
-
-
 def m_operator(settings: Settings) -> OneBodyOperator:
     """Intensity-difference observable M(alpha, beta) on the port-1 modes.
 
@@ -94,11 +84,6 @@ def m_operator(settings: Settings) -> OneBodyOperator:
     """
     u = setting_unitary(settings)
     return OneBodyOperator(u.T @ _PARITY @ u)
-
-
-def itot_operator() -> OneBodyOperator:
-    """Total-intensity observable; the identity on the four input modes."""
-    return OneBodyOperator(np.eye(4))
 
 
 def eight_mode_m_matrix(settings: Settings) -> OneBodyOperator:

@@ -34,6 +34,11 @@ from .states import Family, StateSpec
 
 SCHEMA_VERSION = 1
 
+#: Most points a grid may have: each scan axis, the alpha x beta scan and the
+#: resolution^2 of a pattern. Rendering a JSON scan peaks near 1.8 kB per
+#: point, so a grid at the cap stays near 2 GB.
+MAX_GRID_POINTS = 2**20
+
 _PI_LITERAL = re.compile(
     r"^\s*(-)?\s*(\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$"
 )
@@ -200,21 +205,28 @@ def _parse_chsh_settings(doc) -> ChshSettings:
     return ChshSettings(*(parse_angle(doc[k], f"chsh_settings.{k}") for k in keys))
 
 
-def _parse_axis(doc, field: str) -> tuple[float, ...]:
+def _check_grid_size(points: int, field: str) -> None:
+    if points > MAX_GRID_POINTS:
+        raise ConfigError(field, f"{points} points exceed MAX_GRID_POINTS = {MAX_GRID_POINTS}")
+
+
+def _parse_axis(doc, field: str) -> tuple[float, float, int]:
+    """(start, stop, points) of one scan axis."""
     doc = _section(doc, field, ("start", "stop", "points"))
     points = _number(doc["points"], f"{field}.points", 1, integer=True)
+    _check_grid_size(points, f"{field}.points")
     start = parse_angle(doc["start"], f"{field}.start")
     stop = parse_angle(doc["stop"], f"{field}.stop")
-    if points == 1:
-        return (start,)
-    if not math.isfinite(stop - start):
+    if points > 1 and not math.isfinite(stop - start):
         raise ConfigError(field, f"span from {start:g} to {stop:g} overflows")
-    return tuple(np.linspace(start, stop, points))
+    return start, stop, points
 
 
 def _parse_scan_grid(doc) -> ScanGrid:
     doc = _section(doc, "scan_grid", ("alpha", "beta"))
-    return ScanGrid(*(_parse_axis(doc[k], f"scan_grid.{k}") for k in ("alpha", "beta")))
+    axes = [_parse_axis(doc[k], f"scan_grid.{k}") for k in ("alpha", "beta")]
+    _check_grid_size(axes[0][2] * axes[1][2], "scan_grid")
+    return ScanGrid(*(tuple(np.linspace(*axis)) if axis[2] > 1 else axis[:1] for axis in axes))
 
 
 def _parse_pattern(doc) -> PatternSpec:
@@ -225,6 +237,7 @@ def _parse_pattern(doc) -> PatternSpec:
         doc.get("extent", 2.0), "pattern.extent", 0.0, sys.float_info.max / 2, open_low=True
     )
     resolution = _number(doc.get("resolution", 21), "pattern.resolution", 1, integer=True)
+    _check_grid_size(resolution**2, "pattern.resolution")
     return PatternSpec(label, extent, resolution)
 
 
@@ -254,6 +267,8 @@ def parse_config(text: str, mode: str) -> RunConfig:
         doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError("config", f"not valid YAML: {exc}") from None
+    except RecursionError:
+        raise ConfigError("config", "YAML nested too deeply") from None
     if doc is None:
         doc = {}
     doc = _section(doc, "config", optional=(*_SECTIONS, "output", "format"))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -74,16 +73,10 @@ class BasisConfig:
 
 @dataclass(frozen=True)
 class PureState:
-    """Complex amplitude tensor over the truncated occupation basis.
-
-    ``leakage`` accumulates the squared amplitude mass dropped whenever an
-    operation would populate occupations beyond a cutoff; nothing is ever
-    discarded silently.
-    """
+    """Complex amplitude tensor over the truncated occupation basis."""
 
     basis: BasisConfig
     amplitudes: np.ndarray
-    leakage: float = 0.0
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -102,21 +95,12 @@ class PureState:
         n = self.norm()
         if n == 0.0:
             raise SimulationError("cannot normalize the zero vector")
-        return PureState(self.basis, self.amplitudes / n, self.leakage)
+        return PureState(self.basis, self.amplitudes / n)
 
     def overlap(self, other: "PureState") -> complex:
         if other.basis != self.basis:
             raise SimulationError("states live on different bases")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def to_json(self) -> str:
-        flat = self.amplitudes.reshape(-1)
-        return json.dumps(
-            {
-                "cutoffs": list(self.basis.cutoffs),
-                "amplitudes": [[float(a.real), float(a.imag)] for a in flat],
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -194,7 +178,7 @@ class Moments:
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "k", k)
 
-    @property
+    @functools.cached_property
     def itot(self) -> float:
         """Total photon number, the trace of G."""
         return float(self.g.trace().real)
@@ -264,30 +248,25 @@ def _lower(arr: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _raise(arr: np.ndarray, axis: int) -> tuple[np.ndarray, float]:
-    """Creation action along one axis; returns (result, dropped mass).
+def _raise(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Creation action along one axis, projected onto the truncated space.
 
     The component already at the cutoff would map to occupation cutoff+1,
-    outside the space; its squared amplitude (times the ladder factor) is
-    returned as leakage.
+    outside the space, and is dropped.
     """
     below, above, w = _ladder_parts(arr, axis)
     out = np.zeros_like(arr)
     out[above] = w * arr[below]
-    d = arr.shape[axis]
-    top = (slice(None),) * axis + (d - 1,)
-    lost = float(d) * float(np.sum(np.abs(arr[top]) ** 2))
-    return out, lost
+    return out
 
 
 def apply_ladder(state: PureState, mode: int, kind: str) -> PureState:
     """Apply a single ladder operator; result is unnormalized."""
     axis = int(mode)
     if kind == "annihilate":
-        return PureState(state.basis, _lower(state.amplitudes, axis), state.leakage)
+        return PureState(state.basis, _lower(state.amplitudes, axis))
     if kind == "create":
-        out, lost = _raise(state.amplitudes, axis)
-        return PureState(state.basis, out, state.leakage + lost)
+        return PureState(state.basis, _raise(state.amplitudes, axis))
     raise SimulationError(f"unknown ladder kind {kind!r}")
 
 
@@ -304,7 +283,6 @@ def apply_one_body(state: PureState, op: OneBodyOperator) -> PureState:
         )
     arr = state.amplitudes
     out = np.zeros_like(arr)
-    lost = 0.0
     B = op.matrix
     for j in range(op.n_modes):
         for k in range(op.n_modes):
@@ -315,10 +293,8 @@ def apply_one_body(state: PureState, op: OneBodyOperator) -> PureState:
                 n = np.arange(d).reshape((-1,) + (1,) * (arr.ndim - j - 1))
                 out += B[j, j] * (n * np.moveaxis(arr, j, j))
             else:
-                raised, drop = _raise(_lower(arr, k), j)
-                out += B[j, k] * raised
-                lost += abs(B[j, k]) ** 2 * drop
-    return PureState(state.basis, out, state.leakage + lost)
+                out += B[j, k] * _raise(_lower(arr, k), j)
+    return PureState(state.basis, out)
 
 
 def moments(ensemble: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
@@ -476,7 +452,7 @@ def displace(state: PureState, mode: int, u: complex, eps: float = DEFAULT_EPS) 
     unitary = (vec * np.exp(-1j * lam)) @ vec.conj().T
     moved = np.moveaxis(state.amplitudes, axis, 0)
     res = np.tensordot(unitary, moved, axes=(1, 0))
-    return PureState(state.basis, np.moveaxis(res, 0, axis), state.leakage)
+    return PureState(state.basis, np.moveaxis(res, 0, axis))
 
 
 def tmsv_tail_cutoff(r: float, eps: float) -> int:
@@ -532,7 +508,7 @@ def two_mode_squeeze(
 
     def generator(arr):
         down = _lower(_lower(arr, ia), ib)
-        up = _raise(_raise(arr, ia)[0], ib)[0]
+        up = _raise(_raise(arr, ia), ib)
         return (np.conj(zeta) / 2.0) * down - (zeta / 2.0) * up
 
     norm = abs(zeta) * math.sqrt((da - 1) * (db - 1))
@@ -555,7 +531,7 @@ def displace_pair_generator(
     da, db = state.basis.dims[ia], state.basis.dims[ib]
 
     def generator(arr):
-        out = coeff_a * _raise(arr, ia)[0] + coeff_b * _raise(arr, ib)[0]
+        out = coeff_a * _raise(arr, ia) + coeff_b * _raise(arr, ib)
         return out - np.conj(coeff_a) * _lower(arr, ia) - np.conj(coeff_b) * _lower(arr, ib)
 
     norm = 2.0 * (abs(coeff_a) * math.sqrt(da - 1) + abs(coeff_b) * math.sqrt(db - 1))
@@ -580,7 +556,7 @@ def _apply_exponential(state: PureState, generator, norm: float) -> PureState:
             term = generator(term) / (k * steps)
             total += term
         arr = total
-    return PureState(state.basis, arr, state.leakage)
+    return PureState(state.basis, arr)
 
 
 def number_operator(n_modes: int, mode: int) -> OneBodyOperator:

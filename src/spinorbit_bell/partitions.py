@@ -32,13 +32,6 @@ BELL_CONSTITUENTS = {
     BellModeLabel.PHI_MINUS: (ModeIndex.HV, ModeIndex.VH, -1),
 }
 
-_BELL_ROW = {
-    BellModeLabel.PSI_PLUS: 0,
-    BellModeLabel.PSI_MINUS: 1,
-    BellModeLabel.PHI_PLUS: 2,
-    BellModeLabel.PHI_MINUS: 3,
-}
-
 
 def bell_partition_matrix() -> np.ndarray:
     """Orthogonal matrix taking separable-mode annihilators to Bell-mode ones.
@@ -89,7 +82,7 @@ def verify_partition_identity(n_photons: int, basis: BasisConfig) -> float:
     One route applies (a+_Psi+)^N / sqrt(N!) to vacuum using the partition
     matrix coefficients; the other is the explicit binomial expansion.
     """
-    row = bell_partition_matrix()[_BELL_ROW[BellModeLabel.PSI_PLUS]]
+    row = bell_partition_matrix()[0]  # the Psi+ row
     state = fock.vacuum(basis)
     for _ in range(n_photons):
         acc = np.zeros(basis.dims, dtype=np.complex128)

@@ -49,11 +49,10 @@ def test_criterion_02_entangled_fock_grid(n):
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_criterion_03_entangled_fock_squeezing(n):
     e = states.entangled_fock(n)
-    itot = analysis.total_intensity(e)
     for pair in DEFAULT_CHSH_SETTINGS.pairs():
-        pt = analysis.noise_point(e, pair, itot)
+        pt = analysis.noise_point(e, pair)
         assert abs(pt.var_ratio - 0.5) < 1e-9
-    perfect = analysis.noise_point(e, Settings(0.0, math.pi / 2), itot)
+    perfect = analysis.noise_point(e, Settings(0.0, math.pi / 2))
     assert perfect.var_ratio < 1e-9
     report(3, f"N={n}: 50% squeezing at Bell settings; perfect at beta-alpha=pi/2")
 
@@ -84,7 +83,7 @@ def test_criterion_05_werner_family():
         n = int(rng.integers(1, 4))
         p = float(rng.uniform(0, 1))
         s = Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
-        worst = max(worst, analysis.werner_decomposition_check(n, p, s))
+        worst = max(worst, verify.werner_decomposition_check(n, p, s))
     assert worst < 1e-10
     report(5, f"Werner S = (1+p)*sqrt(2); decomposition residual max {worst:.2e}")
 
@@ -100,7 +99,7 @@ def test_criterion_06_pure_coherent(u):
     rng = np.random.default_rng(7)
     for _ in range(10):
         s = Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
-        pt = analysis.noise_point(e, s, itot)
+        pt = analysis.noise_point(e, s)
         assert abs(pt.var_ratio - 1.0) < 1e-6
     report(6, f"pure coherent u={u}: S = 2*sqrt(2) within {tol:.1e}, shot noise at 10 settings")
 

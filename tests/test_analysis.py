@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spinorbit_bell import analysis, states
+from spinorbit_bell import analysis, states, verify
 from spinorbit_bell.apparatus import ChshSettings, DEFAULT_CHSH_SETTINGS, Settings
 from spinorbit_bell.errors import SimulationError
 from spinorbit_bell.fock import BasisConfig, StateEnsemble, vacuum
@@ -195,14 +195,14 @@ class TestScan:
 class TestWernerDecomposition:
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_degenerate(self, p):
-        assert analysis.werner_decomposition_check(1, p, Settings(0.2, 0.9)) < 1e-10
+        assert verify.werner_decomposition_check(1, p, Settings(0.2, 0.9)) < 1e-10
 
     def test_specific_cases(self):
         assert (
-            analysis.werner_decomposition_check(2, 0.3, Settings(math.pi / 8, 0.0)) < 1e-10
+            verify.werner_decomposition_check(2, 0.3, Settings(math.pi / 8, 0.0)) < 1e-10
         )
         assert (
-            analysis.werner_decomposition_check(1, 0.5, Settings(math.pi / 4, math.pi / 4))
+            verify.werner_decomposition_check(1, 0.5, Settings(math.pi / 4, math.pi / 4))
             < 1e-10
         )
 
@@ -212,7 +212,7 @@ class TestWernerDecomposition:
         n = int(rng.integers(1, 4))
         p = float(rng.uniform(0, 1))
         s = Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
-        assert analysis.werner_decomposition_check(n, p, s) < 1e-10
+        assert verify.werner_decomposition_check(n, p, s) < 1e-10
 
 
 def test_variance_convexity():

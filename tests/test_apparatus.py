@@ -5,7 +5,7 @@ import pytest
 
 from spinorbit_bell import apparatus, fock, partitions, verify
 from spinorbit_bell.apparatus import ChshSettings, Settings
-from spinorbit_bell.fock import BasisConfig, ModeIndex, StateEnsemble
+from spinorbit_bell.fock import BasisConfig, StateEnsemble
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.diag([1.0, -1.0])
@@ -38,16 +38,6 @@ class TestSettingUnitary:
         rng = np.random.default_rng(seed)
         u = apparatus.setting_unitary(Settings(rng.uniform(0, 7), rng.uniform(0, 7)))
         assert np.allclose(u.T @ u, np.eye(4), atol=1e-14)
-
-
-def test_mzim_routing():
-    routing = apparatus.mzim_sort()
-    assert routing[(1, ModeIndex.HH)] == 1
-    assert routing[(1, ModeIndex.VV)] == 1
-    assert routing[(1, ModeIndex.HV)] == 2
-    assert routing[(1, ModeIndex.VH)] == 2
-    for mode in ModeIndex:
-        assert routing[(1, mode)] != routing[(2, mode)]
 
 
 class TestMOperator:
@@ -84,19 +74,16 @@ class TestMOperator:
 
     def test_commutes_with_itot(self):
         m = apparatus.m_operator(Settings(0.9, 0.2)).matrix
-        i = apparatus.itot_operator().matrix
+        i = fock.total_number_operator(4).matrix
         assert np.allclose(m @ i - i @ m, 0.0)
 
 
 class TestItot:
-    def test_is_identity(self):
-        assert np.allclose(apparatus.itot_operator().matrix, np.eye(4))
-
     @pytest.mark.parametrize("n", [1, 3])
     def test_counts_photons_on_bell_fock(self, n):
         basis = BasisConfig((n, 1, 1, n))
         s = partitions.fock_on_bell_mode(n, partitions.BellModeLabel.PSI_PLUS, basis)
-        val = fock.expect_one_body(StateEnsemble.pure(s), apparatus.itot_operator())
+        val = fock.expect_one_body(StateEnsemble.pure(s), fock.total_number_operator(4))
         assert val == pytest.approx(float(n))
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spinorbit_bell import analysis, cli, fock, states
@@ -472,3 +473,61 @@ def test_mode_pattern_rejects_json(tmp_path, capsys, how):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: format: ")
+
+
+def test_deeply_nested_yaml_is_a_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text("state: " + "[" * 20_000 + "]" * 20_000 + "\n")
+    assert cli.main(["chsh", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: config: ")
+    assert "Traceback" not in captured.err
+
+
+_CAP = cli.MAX_GRID_POINTS
+
+
+def _axes(alpha_points, beta_points):
+    return (
+        "state: {family: mixed_fock, n: 2}\nscan_grid:\n"
+        f"  alpha: {{start: 0, stop: 1, points: {alpha_points}}}\n"
+        f"  beta: {{start: 0, stop: 1, points: {beta_points}}}"
+    )
+
+
+def _pattern(resolution):
+    return f"pattern: {{label: psi_plus, resolution: {resolution}}}"
+
+
+@pytest.mark.parametrize(
+    "mode,text,field",
+    [
+        ("noise-scan", _axes(10**15, 3), "scan_grid.alpha.points"),
+        ("noise-scan", _axes(3, _CAP + 1), "scan_grid.beta.points"),
+        # Each axis is under the cap, their product is over it.
+        ("noise-scan", _axes(2**10, 2**10 + 1), "scan_grid"),
+        ("mode-pattern", _pattern(10**15), "pattern.resolution"),
+        ("mode-pattern", _pattern(2**10 + 1), "pattern.resolution"),
+    ],
+    ids=["axis-1e15", "axis-cap+1", "product", "pattern-1e15", "pattern-1025^2"],
+)
+def test_oversized_grid_is_a_config_error(tmp_path, capsys, monkeypatch, mode, text, field):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_text(text + "\n")
+    assert cli.main([mode, "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {field}: ")
+    assert f"MAX_GRID_POINTS = {_CAP}" in captured.err
+
+
+def test_grid_at_the_cap_is_accepted():
+    cfg = cli.parse_config(_axes(2**10, 2**10), "noise-scan")
+    assert len(cfg.scan_grid.alphas) * len(cfg.scan_grid.betas) == _CAP
+    cfg = cli.parse_config(_pattern(2**10), "mode-pattern")
+    assert cfg.pattern.resolution**2 == _CAP

@@ -103,7 +103,17 @@ def _state(draw):
     return doc
 
 
-_AXIS = _mapping({"start": _ANGLE, "stop": _ANGLE, "points": st.integers(1, 7)})
+@st.composite
+def _grid_size(draw, largest: int, over_cap: int):
+    """A size up to ``largest``, now and then one from ``over_cap`` on, which
+    the CLI must refuse; never a large valid size, which would run for minutes."""
+    if _one_in(draw, 20):
+        return draw(st.integers(over_cap, 10**18))
+    return draw(st.integers(1, largest))
+
+
+_POINTS = _grid_size(7, cli.MAX_GRID_POINTS + 1)
+_AXIS = _mapping({"start": _ANGLE, "stop": _ANGLE, "points": _POINTS})
 
 _SECTIONS = {
     "state": _state(),
@@ -115,7 +125,7 @@ _SECTIONS = {
         {
             "label": st.sampled_from(["psi_plus", "psi_minus", "phi_plus", "phi_minus"]),
             "extent": st.floats(0.01, 5.0),
-            "resolution": st.integers(1, 9),
+            "resolution": _grid_size(9, math.isqrt(cli.MAX_GRID_POINTS) + 1),
         }
     ),
     "format": _mostly(st.sampled_from(["csv", "json"])),
