@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence
 
 from . import fock
 from .apparatus import ChshSettings, Settings, m_operator
@@ -160,18 +160,3 @@ def settings_scan(
     if len(alphas) == 0 or len(betas) == 0:
         raise SimulationError("scan grid must be nonempty")
     return [noise_point(state, Settings(a, b)) for a in alphas for b in betas]
-
-
-def write_scan_csv(points: Iterable[NoisePoint], stream: TextIO) -> None:
-    stream.write("alpha,beta,mean_m,var_m,itot,mean_ratio,var_ratio\n")
-    for pt in points:
-        row = (
-            pt.settings.alpha,
-            pt.settings.beta,
-            pt.mean_m,
-            pt.var_m,
-            pt.itot,
-            pt.mean_ratio,
-            pt.var_ratio,
-        )
-        stream.write(",".join(f"{v:.12g}" for v in row) + "\n")

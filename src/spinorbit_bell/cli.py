@@ -45,11 +45,23 @@ _PI_LITERAL = re.compile(
 
 
 class _Loader(yaml.SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as ``1e-12`` and ``1.0e200``.
-
-    PyYAML's YAML 1.1 resolver needs a dot and a signed exponent in a float,
-    so it reads those two as strings.
+    """SafeLoader that reads YAML 1.2 floats such as ``1e-12`` and ``1.0e200``
+    (PyYAML's YAML 1.1 resolver needs a dot and a signed exponent in a float)
+    and, as YAML 1.2 requires, refuses a key repeated in one mapping.
     """
+
+    def construct_mapping(self, node, deep=False):
+        # A merge (``<<: *anchor``) may still supply keys that the mapping overrides.
+        own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node in own:
+            if (key := self.construct_object(key_node)) in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"repeated key {key!r}", key_node.start_mark
+                )
+            seen.add(key)
+        return mapping
 
 
 _Loader.add_implicit_resolver(
@@ -269,6 +281,9 @@ def parse_config(text: str, mode: str) -> RunConfig:
         raise ConfigError("config", f"not valid YAML: {exc}") from None
     except RecursionError:
         raise ConfigError("config", "YAML nested too deeply") from None
+    except ValueError as exc:
+        # PyYAML's int and timestamp constructors: a 5 000-digit integer, 2020-13-45.
+        raise ConfigError("config", f"unreadable YAML value: {exc}") from None
     if doc is None:
         doc = {}
     doc = _section(doc, "config", optional=(*_SECTIONS, "output", "format"))
@@ -291,30 +306,28 @@ def parse_config(text: str, mode: str) -> RunConfig:
     return RunConfig(mode, output=output, format=fmt, **sections)
 
 
-def _chsh_document(config: RunConfig) -> dict:
-    result = analysis.s_parameter(states.build(config.state), config.chsh_settings)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "state_family": config.state.family.value,
-        "settings": {
-            "alpha": result.settings.alpha,
-            "alpha_prime": result.settings.alpha_prime,
-            "beta": result.settings.beta,
-            "beta_prime": result.settings.beta_prime,
-        },
-        "s_value": result.s_value,
-        "points": [
-            {
-                "alpha": pt.settings.alpha,
-                "beta": pt.settings.beta,
-                "mean_m": pt.mean_m,
-                "var_m": pt.var_m,
-                "itot": pt.itot,
-                "squeezing_ratio": pt.var_ratio,
-            }
-            for pt in result.points
-        ],
-    }
+#: The columns every noise point writes, in order.
+_POINT_COLUMNS = ("alpha", "beta", "mean_m", "var_m", "itot")
+
+
+def _point_rows(points, ratios=()):
+    """Each point's ``_POINT_COLUMNS`` values, then the attributes named in ``ratios``."""
+    for pt in points:
+        yield (
+            pt.settings.alpha, pt.settings.beta, pt.mean_m, pt.var_m, pt.itot,
+            *(getattr(pt, name) for name in ratios),
+        )
+
+
+def _render_csv(columns, rows, digits: int = 12) -> str:
+    """A header line, then one line of ``digits`` significant digits per row."""
+    # One template per document: f"{v:.{digits}g}" would rebuild its spec per value.
+    line = ",".join([f"{{:.{digits}g}}"] * len(columns)) + "\n"
+    buf = io.StringIO()
+    buf.write(",".join(columns) + "\n")
+    for row in rows:
+        buf.write(line.format(*row))
+    return buf.getvalue()
 
 
 def _render_json(doc: dict) -> str:
@@ -328,55 +341,43 @@ def _render_json(doc: dict) -> str:
 def run(config: RunConfig) -> str:
     """Execute a run and return the rendered output document."""
     if config.mode == "chsh":
-        doc = _chsh_document(config)
-        if config.format == "json":
-            return _render_json(doc)
-        buf = io.StringIO()
-        buf.write("alpha,beta,mean_m,var_m,itot,squeezing_ratio\n")
-        for pt in doc["points"]:
-            buf.write(
-                ",".join(
-                    f"{pt[k]:.12g}"
-                    for k in ("alpha", "beta", "mean_m", "var_m", "itot", "squeezing_ratio")
-                )
-                + "\n"
-            )
-        buf.write(f"# s_value,{doc['s_value']:.12g}\n")
-        return buf.getvalue()
+        result = analysis.s_parameter(states.build(config.state), config.chsh_settings)
+        columns = (*_POINT_COLUMNS, "squeezing_ratio")
+        rows = _point_rows(result.points, ("var_ratio",))
+        if config.format == "csv":
+            return _render_csv(columns, rows) + f"# s_value,{result.s_value:.12g}\n"
+        return _render_json(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "state_family": config.state.family.value,
+                "settings": dataclasses.asdict(result.settings),
+                "s_value": result.s_value,
+                "points": [dict(zip(columns, row)) for row in rows],
+            }
+        )
 
     if config.mode == "noise-scan":
         points = analysis.settings_scan(
             states.build(config.state), config.scan_grid.alphas, config.scan_grid.betas
         )
-        if config.format == "json":
-            return _render_json(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "points": [
-                        {
-                            "alpha": pt.settings.alpha,
-                            "beta": pt.settings.beta,
-                            "mean_m": pt.mean_m,
-                            "var_m": pt.var_m,
-                            "itot": pt.itot,
-                        }
-                        for pt in points
-                    ],
-                }
-            )
-        buf = io.StringIO()
-        analysis.write_scan_csv(points, buf)
-        return buf.getvalue()
+        if config.format == "csv":
+            ratios = ("mean_ratio", "var_ratio")
+            return _render_csv((*_POINT_COLUMNS, *ratios), _point_rows(points, ratios))
+        # No ratio columns, so a scan at zero total intensity still renders.
+        rows = [dict(zip(_POINT_COLUMNS, row)) for row in _point_rows(points)]
+        return _render_json({"schema_version": SCHEMA_VERSION, "points": rows})
 
     if config.mode == "mode-pattern":
         if config.format != "csv":
             raise ConfigError("format", f"mode-pattern writes CSV only, got {config.format!r}")
-        rows = modes.sample_polarization_grid(
+        grid = modes.sample_polarization_grid(
             config.pattern.label, config.pattern.extent, config.pattern.resolution
         )
-        buf = io.StringIO()
-        modes.write_grid_csv(rows, buf)
-        return buf.getvalue()
+        return _render_csv(
+            ("x", "y", "EH_re", "EH_im", "EV_re", "EV_im"),
+            ((r.x, r.y, r.e_h.real, r.e_h.imag, r.e_v.real, r.e_v.imag) for r in grid),
+            digits=9,
+        )
 
     if config.mode == "verify":
         return verify.format_report(verify.run_verification())
@@ -403,6 +404,8 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return 4
+            except UnicodeDecodeError as exc:
+                raise ConfigError("config", f"not UTF-8 text: {exc}") from None
         elif args.mode == "verify":
             text = ""
         else:

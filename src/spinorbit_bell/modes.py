@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -131,11 +130,3 @@ def sample_polarization_grid(
             e_h, e_v = eval_vector_mode(coeffs, SpatialPoint(float(x), float(y)))
             rows.append(GridRow(float(x), float(y), e_h, e_v))
     return rows
-
-
-def write_grid_csv(rows: Iterable[GridRow], stream: TextIO) -> None:
-    """Grid CSV, x fastest, 9 significant digits."""
-    stream.write("x,y,EH_re,EH_im,EV_re,EV_im\n")
-    for r in rows:
-        vals = (r.x, r.y, r.e_h.real, r.e_h.imag, r.e_v.real, r.e_v.imag)
-        stream.write(",".join(f"{v:.9g}" for v in vals) + "\n")

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -182,14 +181,6 @@ class TestScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(SimulationError):
             analysis.settings_scan(states.pure_coherent(0.1), [], [0.0])
-
-    def test_csv_format(self):
-        pts = analysis.settings_scan(states.pure_coherent(0.5), [0.0], [0.0, 0.3])
-        buf = io.StringIO()
-        analysis.write_scan_csv(pts, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "alpha,beta,mean_m,var_m,itot,mean_ratio,var_ratio"
-        assert len(lines) == 3
 
 
 class TestWernerDecomposition:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from spinorbit_bell import analysis, cli, fock, states
+from spinorbit_bell import analysis, cli, fock, modes, states
 from spinorbit_bell.apparatus import Settings
 from spinorbit_bell.errors import ConfigError, SimulationError, TruncationError
+from spinorbit_bell.partitions import BellModeLabel
 from spinorbit_bell.states import Family, StateSpec
 
 
@@ -485,6 +487,47 @@ def test_deeply_nested_yaml_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("state: {family: mixed_fock, n: 1" + "0" * 5000 + "}", "4300 digits"),
+        ("state: {family: mixed_fock, n: 2020-13-45}", "month must be in 1..12"),
+        ("state: {family: mixed_fock, n: 2}\noutput: 2020-02-30", "day is out of range"),
+        ("state: {family: entangled_fock, n: 1, n: 5}", "repeated key 'n'"),
+        (
+            "state: {family: entangled_fock, n: 1}\nstate: {family: entangled_fock, n: 5}",
+            "repeated key 'state'",
+        ),
+    ],
+    ids=["5001-digits", "impossible-date", "impossible-output-date", "repeated-n", "repeated-state"],
+)
+def test_unreadable_yaml_is_a_config_error(tmp_path, capsys, text, message):
+    rc, out, err = _chsh(tmp_path, capsys, text)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("config error: config: ")
+    assert message in err
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.yaml"
+    cfgfile.write_bytes(b"# caf\xe9\nstate: {family: entangled_fock, n: 1}\n")
+    assert cli.main(["chsh", "--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: config: not UTF-8")
+
+
+def test_anchors_and_merge_overrides_still_parse():
+    cfg = cli.parse_config(
+        "state: {family: mixed_fock, n: 2}\n"
+        "scan_grid: {alpha: &ax {start: 0, stop: 1, points: 3}, beta: {<<: *ax, points: 2}}",
+        "noise-scan",
+    )
+    assert (len(cfg.scan_grid.alphas), len(cfg.scan_grid.betas)) == (3, 2)
+
+
 _CAP = cli.MAX_GRID_POINTS
 
 
@@ -531,3 +574,83 @@ def test_grid_at_the_cap_is_accepted():
     assert len(cfg.scan_grid.alphas) * len(cfg.scan_grid.betas) == _CAP
     cfg = cli.parse_config(_pattern(2**10), "mode-pattern")
     assert cfg.pattern.resolution**2 == _CAP
+
+
+def _csv(header, rows, digits=12):
+    return header + "\n" + "".join(",".join(f"{v:.{digits}g}" for v in r) + "\n" for r in rows)
+
+
+class TestOutputFormat:
+    """``cli.run`` text against a rendering built here from in-process results."""
+
+    _CHSH = (
+        "state: {family: mixed_coherent, u: 4, reflectivity: 0.25}\n"
+        "chsh_settings: {alpha: 0.3, alpha_prime: 1.1, beta: -0.4, beta_prime: 2.0}"
+    )
+    _SCAN = (
+        "state: {family: pure_coherent, u: 0.5}\n"
+        "scan_grid:\n"
+        "  alpha: {start: 0, stop: 0, points: 1}\n"
+        "  beta: {start: 0, stop: 0.3, points: 2}"
+    )
+
+    def _run(self, text, mode, fmt):
+        return cli.run(dataclasses.replace(cli.parse_config(text, mode), format=fmt))
+
+    def test_chsh(self):
+        cfg = cli.parse_config(self._CHSH, "chsh")
+        result = analysis.s_parameter(states.build(cfg.state), cfg.chsh_settings)
+        rows = [
+            (pt.settings.alpha, pt.settings.beta, pt.mean_m, pt.var_m, pt.itot, pt.var_ratio)
+            for pt in result.points
+        ]
+        columns = ("alpha", "beta", "mean_m", "var_m", "itot", "squeezing_ratio")
+        doc = {
+            "schema_version": 1,
+            "state_family": "mixed_coherent",
+            "settings": {
+                "alpha": 0.3,
+                "alpha_prime": 1.1,
+                "beta": -0.4,
+                "beta_prime": 2.0,
+            },
+            "s_value": result.s_value,
+            "points": [dict(zip(columns, row)) for row in rows],
+        }
+        assert self._run(self._CHSH, "chsh", "json") == json.dumps(doc, indent=2) + "\n"
+        assert self._run(self._CHSH, "chsh", "csv") == (
+            _csv(",".join(columns), rows) + f"# s_value,{result.s_value:.12g}\n"
+        )
+
+    def test_noise_scan(self):
+        cfg = cli.parse_config(self._SCAN, "noise-scan")
+        points = analysis.settings_scan(states.build(cfg.state), [0.0], [0.0, 0.3])
+        rows = [
+            (pt.settings.alpha, pt.settings.beta, pt.mean_m, pt.var_m, pt.itot)
+            for pt in points
+        ]
+        columns = ("alpha", "beta", "mean_m", "var_m", "itot")
+        doc = {"schema_version": 1, "points": [dict(zip(columns, row)) for row in rows]}
+        assert self._run(self._SCAN, "noise-scan", "json") == json.dumps(doc, indent=2) + "\n"
+        csv = self._run(self._SCAN, "noise-scan", "csv")
+        header = "alpha,beta,mean_m,var_m,itot,mean_ratio,var_ratio"
+        ratios = [(pt.mean_ratio, pt.var_ratio) for pt in points]
+        assert csv == _csv(header, [r + q for r, q in zip(rows, ratios)])
+        lines = csv.strip().split("\n")
+        assert lines[0] == header
+        assert len(lines) == 3
+
+    def test_mode_pattern(self):
+        text = "pattern: {label: psi_plus, extent: 1.0, resolution: 2}"
+        grid = modes.sample_polarization_grid(BellModeLabel.PSI_PLUS, 1.0, 2)
+        rows = [(r.x, r.y, r.e_h.real, r.e_h.imag, r.e_v.real, r.e_v.imag) for r in grid]
+        csv = self._run(text, "mode-pattern", "csv")
+        header = "x,y,EH_re,EH_im,EV_re,EV_im"
+        assert csv == _csv(header, rows, digits=9)
+        lines = csv.strip().split("\n")
+        assert lines[0] == header
+        assert len(lines) == 5
+        # x varies fastest
+        first, second = lines[1].split(","), lines[2].split(",")
+        assert first[1] == second[1]
+        assert first[0] != second[0]

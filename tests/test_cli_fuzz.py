@@ -2,14 +2,17 @@
 
 Every generated ``chsh``, ``noise-scan`` or ``mode-pattern`` config must end
 in one of two ways: exit 0 with strict, finite output, or exit 2, 3 or 4 with
-a classified message and no traceback. An uncaught exception, or a warning
-(pytest turns warnings into errors), fails the test.
+a classified message and no traceback. Now and then the config's bytes are
+spoiled before ``cli.main`` reads them, which must be a config error. An
+uncaught exception, or a warning (pytest turns warnings into errors), fails
+the test.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -138,9 +141,39 @@ _MODE_SECTIONS = {
 }
 
 
+#: A line of a block mapping: a key, then ": " or the end of the line.
+_KEY_LINE = re.compile(r" *[^ \-\n][^\n]*:(?: |\n)")
+#: A number written as a mapping value or a sequence item.
+_NUMBER = re.compile(r"(?<=[:-] )[-+.\d][-+.\deE]*$", re.M)
+
+
+@st.composite
+def _config_bytes(draw, text: str):
+    """``text`` encoded, and whether it was spoiled first, about once in ten
+    draws: a key line repeated, a number turned into a 5 001-digit integer or
+    an impossible date, or a byte that is not UTF-8 inserted."""
+    how = draw(st.sampled_from(["repeat", "number", "byte"])) if _one_in(draw, 10) else None
+    lines = text.splitlines(keepends=True)
+    keys = [i for i, line in enumerate(lines) if _KEY_LINE.match(line)]
+    numbers = [m.span() for m in _NUMBER.finditer(text)]
+    if how == "repeat" and keys:
+        i = draw(st.sampled_from(keys))
+        return "".join(lines[: i + 1] + lines[i:]).encode(), True
+    if how == "number" and numbers:
+        start, end = draw(st.sampled_from(numbers))
+        bad = draw(st.sampled_from(["1" + "0" * 5000, "2020-13-45"]))
+        return (text[:start] + bad + text[end:]).encode(), True
+    if how == "byte":
+        data = text.encode()
+        i = draw(st.integers(0, len(data)))
+        return data[:i] + bytes([draw(st.integers(0x80, 0xFF))]) + data[i:], True
+    return text.encode(), False
+
+
 @st.composite
 def _run(draw):
-    """A mode and its config document; never with ``output``."""
+    """A mode, its config document, and the config's bytes with whether they
+    were spoiled; never with ``output``."""
     mode = draw(st.sampled_from(sorted(_MODE_SECTIONS)))
     doc = {}
     for name, strategy in _SECTIONS.items():
@@ -150,7 +183,7 @@ def _run(draw):
             doc[name] = draw(strategy)
     if _one_in(draw, 20):
         doc["bogus"] = 1
-    return mode, doc
+    return (mode, doc, *draw(_config_bytes(yaml.safe_dump(doc))))
 
 
 def _reject_constant(name):
@@ -172,13 +205,16 @@ def _assert_finite_output(text: str, fmt: str) -> None:
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_run())
 def test_every_config_ends_classified(run):
-    mode, doc = run
+    mode, doc, data, spoiled = run
     with tempfile.TemporaryDirectory() as tmp:
         cfgfile = Path(tmp) / "run.yaml"
-        cfgfile.write_text(yaml.safe_dump(doc))
+        cfgfile.write_bytes(data)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main([mode, "--config", str(cfgfile)])
+    if spoiled:
+        assert rc == 2, err.getvalue()
+        assert err.getvalue().startswith("config error: ")
     if rc == 0:
         fmt = doc.get("format", "json" if mode == "chsh" else "csv")
         _assert_finite_output(out.getvalue(), fmt)

@@ -164,17 +164,3 @@ class TestPolarizationGrid:
             modes.sample_polarization_grid(BellModeLabel.PSI_PLUS, 2.0, 0)
         with pytest.raises(SimulationError):
             modes.sample_polarization_grid(BellModeLabel.PSI_PLUS, -1.0, 5)
-
-    def test_csv_format(self):
-        import io
-
-        rows = modes.sample_polarization_grid(BellModeLabel.PSI_PLUS, 1.0, 2)
-        buf = io.StringIO()
-        modes.write_grid_csv(rows, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "x,y,EH_re,EH_im,EV_re,EV_im"
-        assert len(lines) == 5
-        # x varies fastest
-        first, second = lines[1].split(","), lines[2].split(",")
-        assert first[1] == second[1]
-        assert first[0] != second[0]
