@@ -8,7 +8,8 @@ The config is a YAML document; unknown keys are rejected so that typos in
 physics parameters fail loudly. Angles accept radian numbers or pi-rational
 literals such as ``pi/8`` or ``3pi/4``.
 
-Exit codes: 0 success, 2 config error, 3 truncation error, 4 I/O error.
+Exit codes: 0 success, 1 verify FAIL, 2 config error, 3 truncation error,
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ SCHEMA_VERSION = 1
 
 #: Most points a grid may have: each scan axis, the alpha x beta scan and the
 #: resolution^2 of a pattern. Rendering a JSON scan peaks near 1.8 kB per
-#: point, so a grid at the cap stays near 2 GB.
+#: point, so a grid at the cap stays near 2 GB; a pattern at the cap (1024^2)
+#: peaks at 190 MB.
 MAX_GRID_POINTS = 2**20
 
 _PI_LITERAL = re.compile(
@@ -340,6 +342,8 @@ def _render_json(doc: dict) -> str:
 
 def run(config: RunConfig) -> str:
     """Execute a run and return the rendered output document."""
+    if config.mode in ("mode-pattern", "verify") and config.format != "csv":
+        raise ConfigError("format", f"{config.mode} has no {config.format} output")
     if config.mode == "chsh":
         result = analysis.s_parameter(states.build(config.state), config.chsh_settings)
         columns = (*_POINT_COLUMNS, "squeezing_ratio")
@@ -368,14 +372,12 @@ def run(config: RunConfig) -> str:
         return _render_json({"schema_version": SCHEMA_VERSION, "points": rows})
 
     if config.mode == "mode-pattern":
-        if config.format != "csv":
-            raise ConfigError("format", f"mode-pattern writes CSV only, got {config.format!r}")
-        grid = modes.sample_polarization_grid(
+        x, y, e_h, e_v = modes.sample_polarization_grid(
             config.pattern.label, config.pattern.extent, config.pattern.resolution
         )
         return _render_csv(
             ("x", "y", "EH_re", "EH_im", "EV_re", "EV_im"),
-            ((r.x, r.y, r.e_h.real, r.e_h.imag, r.e_v.real, r.e_v.imag) for r in grid),
+            zip(x, y, e_h.real, e_h.imag, e_v.real, e_v.imag),
             digits=9,
         )
 
@@ -416,6 +418,8 @@ def main(argv=None) -> int:
             parse_config(text, args.mode),
             **{k: v for k, v in overrides.items() if v is not None},
         )
+        if config.output == "":
+            raise ConfigError("output", "expected a path, got an empty string")
         rendered = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -427,7 +431,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if config.output:
+    if config.output is not None:
         try:
             with open(config.output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)

@@ -30,16 +30,6 @@ BELL_COEFFICIENTS = {
 
 
 @dataclass(frozen=True)
-class SpatialPoint:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise SimulationError("coordinates must be finite")
-
-
-@dataclass(frozen=True)
 class VectorModeCoefficients:
     """Amplitudes (A_Hh, A_Hv, A_Vh, A_Vv) of a general first-order vector mode."""
 
@@ -65,7 +55,7 @@ def bell_coefficients(label: BellModeLabel) -> VectorModeCoefficients:
     return VectorModeCoefficients(*BELL_COEFFICIENTS[label])
 
 
-def hg_amplitude(orientation: str, x, y):
+def eval_hg_mode(orientation: str, x, y):
     """First-order Hermite-Gaussian amplitude at waist-plane coordinates.
 
     ``x`` and ``y`` may be numbers or broadcastable arrays.
@@ -73,22 +63,16 @@ def hg_amplitude(orientation: str, x, y):
     if orientation not in ("h", "v"):
         raise SimulationError(f"orientation must be 'h' or 'v', got {orientation!r}")
     linear = x if orientation == "h" else y
-    # x * x, unlike x**2, does not raise OverflowError on a far-out Python float.
-    return _NORM * linear * np.exp(-(x * x + y * y) / 2.0)
+    # x * x, unlike x**2, gives inf, not OverflowError, on a far-out Python float;
+    # a squared radius of inf gives a field of 0, so array overflow stays silent.
+    with np.errstate(over="ignore"):
+        return _NORM * linear * np.exp(-(x * x + y * y) / 2.0)
 
 
-def eval_hg_mode(orientation: str, point: SpatialPoint) -> float:
-    """First-order Hermite-Gaussian amplitude at a waist-plane point."""
-    return float(hg_amplitude(orientation, point.x, point.y))
-
-
-def eval_vector_mode(
-    coeffs: VectorModeCoefficients, point: SpatialPoint
-) -> tuple[complex, complex]:
-    """Transverse field (E_H, E_V) of a general vector mode at one point."""
+def eval_vector_mode(coeffs: VectorModeCoefficients, x, y):
+    """Transverse field (E_H, E_V) of a general vector mode at numbers or arrays x, y."""
     coeffs.validate_normalized()
-    psi_h = eval_hg_mode("h", point)
-    psi_v = eval_hg_mode("v", point)
+    psi_h, psi_v = eval_hg_mode("h", x, y), eval_hg_mode("v", x, y)
     e_h = coeffs.a_hh * psi_h + coeffs.a_hv * psi_v
     e_v = coeffs.a_vh * psi_h + coeffs.a_vv * psi_v
     return e_h, e_v
@@ -100,33 +84,18 @@ def concurrence(coeffs: VectorModeCoefficients) -> float:
     return 2.0 * abs(coeffs.a_hh * coeffs.a_vv - coeffs.a_hv * coeffs.a_vh)
 
 
-@dataclass(frozen=True)
-class GridRow:
-    x: float
-    y: float
-    e_h: complex
-    e_v: complex
-
-
-def sample_polarization_grid(
-    label: BellModeLabel, extent: float, resolution: int
-) -> list[GridRow]:
+def sample_polarization_grid(label: BellModeLabel, extent: float, resolution: int):
     """Sample a Bell mode's transverse field on a square grid.
 
     The grid spans [-extent, extent] in both coordinates with `resolution`
-    points per axis; rows are emitted with x varying fastest.
+    points per axis. Returns the flat arrays (x, y, E_H, E_V), x varying fastest.
     """
     if extent <= 0.0:
         raise SimulationError("grid extent must be positive")
+    if not math.isfinite(2.0 * extent):
+        raise SimulationError("coordinates must be finite")
     if resolution <= 0:
         raise SimulationError("grid resolution must be positive")
-    coeffs = bell_coefficients(label)
-    axis = (
-        np.linspace(-extent, extent, resolution) if resolution > 1 else np.array([0.0])
-    )
-    rows = []
-    for y in axis:
-        for x in axis:
-            e_h, e_v = eval_vector_mode(coeffs, SpatialPoint(float(x), float(y)))
-            rows.append(GridRow(float(x), float(y), e_h, e_v))
-    return rows
+    axis = np.linspace(-extent, extent, resolution) if resolution > 1 else np.array([0.0])
+    y, x = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+    return (x, y, *eval_vector_mode(bell_coefficients(label), x, y))

@@ -37,7 +37,7 @@ def _check(name: str, value: float, bound: float) -> CheckResult:
 
 def _mode_power_check() -> CheckResult:
     grid = np.linspace(-6.0, 6.0, 601)
-    psi = modes.hg_amplitude("h", grid[None, :], grid[:, None])
+    psi = modes.eval_hg_mode("h", grid[None, :], grid[:, None])
     power = np.trapezoid(np.trapezoid(psi**2, grid, axis=1), grid)
     return _check("hg-mode unit power (trapezoid quadrature)", abs(power - 1.0), 1e-6)
 

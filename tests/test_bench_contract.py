@@ -7,6 +7,8 @@ compute a rate. A refactor that breaks one of these breaks the benchmark
 without failing any other test.
 """
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import spinorbit_bell
-from spinorbit_bell import analysis, states, verify
+from spinorbit_bell import analysis, cli, states, verify
 
 _SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -69,3 +71,43 @@ def test_verify_makes_99_noise_point_calls(monkeypatch):
     monkeypatch.setattr(analysis, "noise_point", counted)
     verify.run_verification()
     assert calls == 99
+
+
+def _counter(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_every_span_target_is_called(monkeypatch):
+    # A target that nothing reaches leaves its per-layer metric reading 0.
+    spec = importlib.util.spec_from_file_location("spans", _SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    package = [
+        m for n, m in list(sys.modules.items())
+        if n == spans.PACKAGE or n.startswith(spans.PACKAGE + ".")
+    ]
+    calls = {}
+    for mod, fn in spans.TARGETS:
+        name = f"{mod}.{fn}"
+        original = getattr(importlib.import_module(f"{spans.PACKAGE}.{mod}"), fn)
+        calls[name] = 0
+        counted = _counter(calls, name, original)
+        # Every binding, so a caller that imported the name is counted too.
+        for module in package:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    verify.run_verification()
+    cli.run(cli.parse_config("state: {family: entangled_fock, n: 1}", "chsh"))
+    scan = (
+        "state: {family: mixed_fock, n: 2}\n"
+        "scan_grid:\n"
+        "  alpha: {start: 0, stop: pi/4, points: 2}\n"
+        "  beta: {start: 0, stop: pi/4, points: 2}"
+    )
+    cli.run(cli.parse_config(scan, "noise-scan"))
+    assert [name for name, n in calls.items() if n == 0] == []

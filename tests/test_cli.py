@@ -8,10 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from spinorbit_bell import analysis, cli, fock, modes, states
+from spinorbit_bell import analysis, cli, fock, states
 from spinorbit_bell.apparatus import Settings
 from spinorbit_bell.errors import ConfigError, SimulationError, TruncationError
-from spinorbit_bell.partitions import BellModeLabel
 from spinorbit_bell.states import Family, StateSpec
 
 
@@ -461,11 +460,16 @@ def test_production_path_builds_no_fock_tensor(tmp_path, capsys, monkeypatch, st
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("how", ["config", "flag"])
-def test_mode_pattern_rejects_json(tmp_path, capsys, how):
+@pytest.mark.parametrize(
+    "mode, how",
+    [("mode-pattern", "config"), ("mode-pattern", "flag"), ("verify", "config"), ("verify", "flag")],
+    ids=["config", "flag", "verify-config", "verify-flag"],
+)
+def test_mode_pattern_rejects_json(tmp_path, capsys, mode, how):
+    # verify parses the pattern section too, so one config serves both modes.
     cfgfile = tmp_path / "run.yaml"
     text = "pattern: {label: psi_plus, resolution: 3}\n"
-    argv = ["mode-pattern", "--config", str(cfgfile)]
+    argv = [mode, "--config", str(cfgfile)]
     if how == "config":
         text += "format: json\n"
     else:
@@ -475,6 +479,22 @@ def test_mode_pattern_rejects_json(tmp_path, capsys, how):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: format: ")
+
+
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_empty_output_path_is_a_config_error(tmp_path, capsys, how):
+    cfgfile = tmp_path / "run.yaml"
+    text = "state: {family: entangled_fock, n: 1}\n"
+    argv = ["chsh", "--config", str(cfgfile)]
+    if how == "config":
+        text += 'output: ""\n'
+    else:
+        argv += ["--output", ""]
+    cfgfile.write_text(text)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: output: ")
 
 
 def test_deeply_nested_yaml_is_a_config_error(tmp_path, capsys):
@@ -642,8 +662,14 @@ class TestOutputFormat:
 
     def test_mode_pattern(self):
         text = "pattern: {label: psi_plus, extent: 1.0, resolution: 2}"
-        grid = modes.sample_polarization_grid(BellModeLabel.PSI_PLUS, 1.0, 2)
-        rows = [(r.x, r.y, r.e_h.real, r.e_h.imag, r.e_v.real, r.e_v.imag) for r in grid]
+        # Psi+ point by point in Python floats: E_H = psi_h / sqrt 2, E_V = psi_v / sqrt 2.
+        norm, sq2 = math.sqrt(2.0 / math.pi), 1.0 / math.sqrt(2.0)
+        rows = []
+        for y in (-1.0, 1.0):
+            for x in (-1.0, 1.0):
+                envelope = float(np.exp(-(x * x + y * y) / 2.0))
+                psi_h, psi_v = norm * x * envelope, norm * y * envelope
+                rows.append((x, y, sq2 * psi_h + 0.0 * psi_v, 0.0, 0.0 * psi_h + sq2 * psi_v, 0.0))
         csv = self._run(text, "mode-pattern", "csv")
         header = "x,y,EH_re,EH_im,EV_re,EV_im"
         assert csv == _csv(header, rows, digits=9)

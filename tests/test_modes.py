@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,20 @@ from hypothesis import given, strategies as st
 
 from spinorbit_bell import modes
 from spinorbit_bell.errors import SimulationError
-from spinorbit_bell.modes import SpatialPoint, VectorModeCoefficients
+from spinorbit_bell.modes import VectorModeCoefficients
 from spinorbit_bell.partitions import BellModeLabel
+
+
+#: Unit-power normalization of the first-order HG modes, sqrt(2 / pi).
+_NORM = math.sqrt(2.0 / math.pi)
+
+
+def pointwise_field(label, x, y):
+    """(E_H, E_V) of a Bell mode at one point, in Python floats, term by term."""
+    a_hh, a_hv, a_vh, a_vv = modes.BELL_COEFFICIENTS[label]
+    envelope = float(np.exp(-(x * x + y * y) / 2.0))
+    psi_h, psi_v = _NORM * x * envelope, _NORM * y * envelope
+    return a_hh * psi_h + a_hv * psi_v, a_vh * psi_h + a_vv * psi_v
 
 
 def normalized_coeffs(values):
@@ -18,75 +31,55 @@ def normalized_coeffs(values):
 
 class TestHgMode:
     def test_vanishes_at_origin(self):
-        assert modes.eval_hg_mode("h", SpatialPoint(0.0, 0.0)) == 0.0
+        assert modes.eval_hg_mode("h", 0.0, 0.0) == 0.0
 
     def test_xy_symmetry(self):
         for x, y in [(0.3, -1.2), (2.0, 0.7), (-0.5, -0.5)]:
-            assert modes.eval_hg_mode("h", SpatialPoint(x, y)) == pytest.approx(
-                modes.eval_hg_mode("v", SpatialPoint(y, x))
-            )
+            assert modes.eval_hg_mode("h", x, y) == pytest.approx(modes.eval_hg_mode("v", y, x))
 
     def test_unit_power(self):
         # Independent 2-D trapezoid quadrature over a 12x12 waist-unit window.
         grid = np.linspace(-6.0, 6.0, 481)
-        vals = np.array(
-            [
-                [modes.eval_hg_mode("h", SpatialPoint(float(x), float(y))) for x in grid]
-                for y in grid
-            ]
-        )
+        vals = modes.eval_hg_mode("h", grid[None, :], grid[:, None])
         power = np.trapezoid(np.trapezoid(vals**2, grid, axis=1), grid)
         assert power == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_unknown_orientation(self):
         with pytest.raises(SimulationError):
-            modes.eval_hg_mode("d", SpatialPoint(0.0, 0.0))
-
-    @pytest.mark.parametrize("orientation", ["h", "v"])
-    def test_array_form_matches_pointwise(self, orientation):
-        xs = np.linspace(-4.0, 4.0, 37)
-        ys = np.linspace(-3.0, 5.0, 29)
-        grid = modes.hg_amplitude(orientation, xs[None, :], ys[:, None])
-        pointwise = [
-            [modes.eval_hg_mode(orientation, SpatialPoint(float(x), float(y))) for x in xs]
-            for y in ys
-        ]
-        assert np.array_equal(grid, np.array(pointwise))
+            modes.eval_hg_mode("d", 0.0, 0.0)
 
 
 class TestVectorMode:
     def test_radial_on_x_axis(self):
         coeffs = modes.bell_coefficients(BellModeLabel.PSI_PLUS)
-        e_h, e_v = modes.eval_vector_mode(coeffs, SpatialPoint(1.0, 0.0))
+        e_h, e_v = modes.eval_vector_mode(coeffs, 1.0, 0.0)
         assert e_h.real > 0
         assert e_v == 0
 
     def test_pure_hh_has_no_vertical_component(self):
         coeffs = VectorModeCoefficients(1.0, 0.0, 0.0, 0.0)
-        _, e_v = modes.eval_vector_mode(coeffs, SpatialPoint(0.7, -1.3))
+        _, e_v = modes.eval_vector_mode(coeffs, 0.7, -1.3)
         assert e_v == 0
 
     def test_azimuthal_on_x_axis(self):
         coeffs = modes.bell_coefficients(BellModeLabel.PHI_MINUS)
-        e_h, e_v = modes.eval_vector_mode(coeffs, SpatialPoint(1.0, 0.0))
+        e_h, e_v = modes.eval_vector_mode(coeffs, 1.0, 0.0)
         assert e_h == 0
         assert e_v.real > 0
 
     def test_rejects_unnormalized(self):
         with pytest.raises(SimulationError):
-            modes.eval_vector_mode(
-                VectorModeCoefficients(1.0, 1.0, 0.0, 0.0), SpatialPoint(0.0, 0.0)
-            )
+            modes.eval_vector_mode(VectorModeCoefficients(1.0, 1.0, 0.0, 0.0), 0.0, 0.0)
 
     def test_linear_in_coefficients(self):
-        p = SpatialPoint(0.4, -0.9)
+        p = (0.4, -0.9)
         a = normalized_coeffs([1, 2j, -0.5, 0.3])
         b = normalized_coeffs([0.1, -1, 0.7j, 2])
         mixed = normalized_coeffs(0.6 * a.as_array() + 0.8j * b.as_array())
         scale = np.linalg.norm(0.6 * a.as_array() + 0.8j * b.as_array())
-        ea = modes.eval_vector_mode(a, p)
-        eb = modes.eval_vector_mode(b, p)
-        em = modes.eval_vector_mode(mixed, p)
+        ea = modes.eval_vector_mode(a, *p)
+        eb = modes.eval_vector_mode(b, *p)
+        em = modes.eval_vector_mode(mixed, *p)
         for i in range(2):
             assert em[i] * scale == pytest.approx(0.6 * ea[i] + 0.8j * eb[i])
 
@@ -139,28 +132,62 @@ class TestConcurrence:
 
 class TestPolarizationGrid:
     def test_row_count_and_radial_alignment(self):
-        rows = modes.sample_polarization_grid(BellModeLabel.PSI_PLUS, 2.0, 5)
-        assert len(rows) == 25
-        for r in rows:
-            # Radial mode: E parallel to (x, y) away from the axis.
-            cross = r.e_h * r.y - r.e_v * r.x
-            assert abs(cross) < 1e-12
+        x, y, e_h, e_v = modes.sample_polarization_grid(BellModeLabel.PSI_PLUS, 2.0, 5)
+        assert len(x) == len(y) == len(e_h) == len(e_v) == 25
+        # Radial mode: E parallel to (x, y) away from the axis.
+        assert np.all(np.abs(e_h * y - e_v * x) < 1e-12)
 
     def test_azimuthal_orthogonal_to_radius(self):
-        rows = modes.sample_polarization_grid(BellModeLabel.PHI_MINUS, 2.0, 5)
-        for r in rows:
-            dot = r.e_h * r.x + r.e_v * r.y
-            assert abs(dot) < 1e-12
+        x, y, e_h, e_v = modes.sample_polarization_grid(BellModeLabel.PHI_MINUS, 2.0, 5)
+        assert np.all(np.abs(e_h * x + e_v * y) < 1e-12)
 
     def test_zero_on_axis(self):
         for label in BellModeLabel:
-            rows = modes.sample_polarization_grid(label, 1.0, 3)
-            center = [r for r in rows if r.x == 0.0 and r.y == 0.0]
-            assert len(center) == 1
-            assert center[0].e_h == 0 and center[0].e_v == 0
+            x, y, e_h, e_v = modes.sample_polarization_grid(label, 1.0, 3)
+            center = (x == 0.0) & (y == 0.0)
+            assert np.count_nonzero(center) == 1
+            assert e_h[center] == 0 and e_v[center] == 0
+
+    @pytest.mark.parametrize(
+        "extent, resolution", [(2.0, 41), (40.0, 9), (1e300, 3), (1.0, 1)]
+    )
+    @pytest.mark.parametrize("label", list(BellModeLabel), ids=lambda m: m.value)
+    def test_matches_pointwise_reference(self, label, extent, resolution):
+        # Exact, signed zeros included: -0 and 0 are different CSV bytes.
+        axis = np.linspace(-extent, extent, resolution) if resolution > 1 else [0.0]
+        expected = []
+        for y in axis:
+            for x in axis:
+                e_h, e_v = pointwise_field(label, float(x), float(y))
+                expected.append((float(x), float(y), e_h.real, e_h.imag, e_v.real, e_v.imag))
+        expected = np.array(expected).T
+        x, y, e_h, e_v = modes.sample_polarization_grid(label, extent, resolution)
+        got = np.array([x, y, e_h.real, e_h.imag, e_v.real, e_v.imag])
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_rejects_bad_grid(self):
         with pytest.raises(SimulationError):
             modes.sample_polarization_grid(BellModeLabel.PSI_PLUS, 2.0, 0)
         with pytest.raises(SimulationError):
             modes.sample_polarization_grid(BellModeLabel.PSI_PLUS, -1.0, 5)
+
+    def test_validates_the_coefficients_once(self, monkeypatch):
+        calls = 0
+        original = VectorModeCoefficients.validate_normalized
+
+        def counted(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(VectorModeCoefficients, "validate_normalized", counted)
+        modes.sample_polarization_grid(BellModeLabel.PSI_PLUS, 2.0, 41)
+        assert calls == 1
+
+    @pytest.mark.parametrize("extent", [math.nan, math.inf, 1e308])
+    def test_rejects_a_non_finite_span_without_warning(self, extent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match="coordinates must be finite"):
+                modes.sample_polarization_grid(BellModeLabel.PSI_PLUS, extent, 5)
