@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinorbit_bell import analysis, states, verify
+from spinorbit_bell import analysis, cli, fock, states, verify
 from spinorbit_bell.apparatus import ChshSettings, DEFAULT_CHSH_SETTINGS, Settings
 from spinorbit_bell.errors import SimulationError
 from spinorbit_bell.fock import BasisConfig, StateEnsemble, vacuum
@@ -216,3 +216,123 @@ def test_variance_convexity():
             for w, m in e.members
         )
         assert total >= member_avg - 1e-9
+
+
+#: Generic, non-uniform angle axes, away from the multiples of pi/4 where entries of M vanish.
+_ALPHAS = (-0.71, 0.013, 0.4, 1.37, 2.9)
+_BETAS = (0.23, 0.77, 1.91, -2.2)
+
+_GRID_SPECS = [
+    StateSpec(Family.ENTANGLED_FOCK, n=3),
+    StateSpec(Family.MIXED_FOCK, n=20),
+    StateSpec(Family.WERNER_FOCK, n=7, p=0.4),
+    StateSpec(Family.PURE_COHERENT, u=1.5 - 0.5j),
+    StateSpec(Family.MIXED_COHERENT, u=4.0, reflectivity=0.25),
+    StateSpec(Family.TWO_MODE_SQUEEZED_VACUUM, zeta=3.0),
+]
+
+
+def _grid_states():
+    for spec in _GRID_SPECS:
+        yield pytest.param(states.build(spec), id=spec.family.value)
+    spec = StateSpec(Family.WERNER_FOCK, n=3, p=0.6)
+    yield pytest.param(states.fock_ensemble(spec), id="fock_ensemble werner_fock")
+
+
+class TestGridRoute:
+    """The one-contraction grid against the per-setting route ``noise_point``.
+
+    Mean and variance are compared separately: a wrong regrouping of K leaves
+    the mean right and the variance wrong.
+    """
+
+    @staticmethod
+    def _assert_matches(pts, state):
+        itot = analysis.total_intensity(state)
+        tol = 1e-13 * max(1.0, itot)
+        for pt in pts:
+            ref = analysis.noise_point(state, pt.settings)
+            assert pt.itot == ref.itot
+            assert abs(pt.mean_m - ref.mean_m) <= tol
+            assert abs(pt.var_m - ref.var_m) <= tol
+
+    @pytest.mark.parametrize("state", _grid_states())
+    def test_scan(self, state):
+        pts = analysis.settings_scan(state, _ALPHAS, _BETAS)
+        assert [(p.settings.alpha, p.settings.beta) for p in pts] == [
+            (a, b) for a in _ALPHAS for b in _BETAS
+        ]
+        self._assert_matches(pts, state)
+
+    @pytest.mark.parametrize("state", _grid_states())
+    def test_chsh(self, state):
+        settings = ChshSettings(0.29, 1.13, -0.41, 2.03)
+        res = analysis.s_parameter(state, settings)
+        assert tuple(p.settings for p in res.points) == settings.pairs()
+        self._assert_matches(res.points, state)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,reference",
+    [
+        (0.0, math.pi / 4 + 1e-5, 1.0970330390675429616),
+        (1e-7, math.pi / 4 + 3e-6, 1.0087426768208565546),
+        (0.0, 3 * math.pi / 4 + 1e-4, 10.703303778841550163),
+    ],
+)
+def test_tmsv_near_cancellation(alpha, beta, reference):
+    # At zeta=20 the O(itot^2) part of the variance nearly vanishes where
+    # 1 + cos4a cos4b ~ 0. The references are 1 + (itot+1)(1 + cos4a cos4b)/2
+    # at these float angles, evaluated with 50-digit arithmetic.
+    state = states.build(StateSpec(Family.TWO_MODE_SQUEEZED_VACUUM, zeta=20.0))
+    (pt,) = analysis.settings_scan(state, [alpha], [beta])
+    assert abs(pt.var_m / pt.itot - reference) <= 1e-14 * reference
+
+
+def _moments_with_negative_k():
+    g = np.diag([1.0, 0.0, 0.0, 1.0])
+    k = np.zeros((4,) * 4)
+    k[0, 0, 0, 0] = -1e3
+    return fock.Moments(g, k)
+
+
+class TestGridChecks:
+    """Every check of ``fock.mean_and_variance`` holds over a whole grid."""
+
+    def test_negative_variance(self):
+        bad = _moments_with_negative_k()
+        with pytest.raises(SimulationError, match="negative variance"):
+            analysis.settings_scan(bad, _ALPHAS, _BETAS)
+        with pytest.raises(SimulationError, match="negative variance"):
+            analysis.s_parameter(bad, DEFAULT_CHSH_SETTINGS)
+
+    def test_imaginary_residue(self):
+        g = np.diag([1.0, 0.0, 0.0, 1.0]) + 1j * np.ones((4, 4))
+        bad = fock.Moments(g, np.zeros((4,) * 4))
+        with pytest.raises(SimulationError, match="imaginary residue"):
+            analysis.settings_scan(bad, _ALPHAS, _BETAS)
+        with pytest.raises(SimulationError, match="imaginary residue"):
+            analysis.s_parameter(bad, DEFAULT_CHSH_SETTINGS)
+
+    def test_eight_modes_rejected(self):
+        eight = fock.Moments(np.eye(8), np.zeros((8,) * 4))
+        with pytest.raises(SimulationError, match="4 modes"):
+            analysis.settings_scan(eight, _ALPHAS, _BETAS)
+        with pytest.raises(SimulationError, match="4 modes"):
+            analysis.s_parameter(eight, DEFAULT_CHSH_SETTINGS)
+
+    @pytest.mark.parametrize(
+        "mode,section",
+        [
+            ("chsh", ""),
+            ("noise-scan", "scan_grid: {alpha: {start: 0, stop: 1, points: 3}, "
+                           "beta: {start: 0, stop: 1, points: 3}}"),
+        ],
+        ids=["chsh", "noise-scan"],
+    )
+    def test_cli_exits_2(self, tmp_path, capsys, monkeypatch, mode, section):
+        monkeypatch.setattr(states, "build", lambda spec: _moments_with_negative_k())
+        cfgfile = tmp_path / "run.yaml"
+        cfgfile.write_text("state: {family: mixed_fock, n: 2}\n" + section + "\n")
+        assert cli.main([mode, "--config", str(cfgfile)]) == 2
+        assert "negative variance" in capsys.readouterr().err

@@ -234,16 +234,28 @@ def test_verify_mode_passes(tmp_path):
     assert report.strip().split("\n")[-1].endswith("checks passed")
 
 
-def test_zero_intensity_scan(tmp_path, capsys):
+def _zero_intensity_scan(tmp_path, capsys, state):
     # Ratios to a zero total intensity are undefined: the CSV scan, which
     # prints them, is an error; the JSON scan, which does not, succeeds.
     cfgfile = tmp_path / "run.yaml"
-    cfgfile.write_text("state: {family: pure_coherent, u: 0}\n" + _SCAN % "1" + "\n")
+    cfgfile.write_text(f"state: {state}\n" + _SCAN % "1" + "\n")
     assert cli.main(["noise-scan", "--config", str(cfgfile), "--format", "csv"]) == 2
     assert "total intensity is zero" in capsys.readouterr().err
     assert cli.main(["noise-scan", "--config", str(cfgfile), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert all(pt["itot"] == 0.0 for pt in doc["points"])
+    assert len(doc["points"]) == 9
+    assert all(pt[key] == 0.0 for pt in doc["points"] for key in ("mean_m", "var_m", "itot"))
+
+
+def test_zero_intensity_scan(tmp_path, capsys):
+    _zero_intensity_scan(tmp_path, capsys, "{family: pure_coherent, u: 0}")
+
+
+@pytest.mark.parametrize(
+    "state", ["{family: entangled_fock, n: 0}", "{family: werner_fock, n: 0, p: 0.5}"]
+)
+def test_zero_intensity_scan_fock_vacuum(tmp_path, capsys, state):
+    _zero_intensity_scan(tmp_path, capsys, state)
 
 
 def _chsh(tmp_path, capsys, text):
