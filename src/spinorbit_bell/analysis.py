@@ -79,7 +79,9 @@ def noise_point(state: Moments | StateEnsemble, settings: Settings) -> NoisePoin
 
 def _axis_rows(angles: Sequence[float]) -> np.ndarray:
     """A(theta) = cos2theta sz + sin2theta sx for each angle, one flat row each."""
-    twice = 2.0 * np.asarray(angles, dtype=float)
+    # 2 theta overflows past 8.9e307; A(theta) has period pi, and fmod is exact.
+    theta = [a if abs(a) < 1e307 else math.fmod(a, math.pi) for a in angles]
+    twice = 2.0 * np.asarray(theta, dtype=float)
     c, s = np.cos(twice), np.sin(twice)
     return np.stack([c, s, s, -c], axis=1)
 

@@ -11,6 +11,7 @@ the last mode fastest (C order over the axis tuple).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import functools
 import math
@@ -232,19 +233,21 @@ def vacuum(basis: BasisConfig) -> PureState:
     return PureState(basis, amps)
 
 
-def _ladder_parts(arr: np.ndarray, axis: int):
+@functools.lru_cache(maxsize=256)
+def _ladder_table(shape: tuple[int, ...], axis: int):
     """Index tuples for occupations 0..d-2 and 1..d-1 along axis, and sqrt(1..d-1)."""
-    d = arr.shape[axis]
+    d = shape[axis]
     lead = (slice(None),) * axis
-    w = np.sqrt(np.arange(1, d)).reshape((-1,) + (1,) * (arr.ndim - axis - 1))
+    w = np.sqrt(np.arange(1, d)).reshape((-1,) + (1,) * (len(shape) - axis - 1))
+    w.flags.writeable = False
     return lead + (slice(0, d - 1),), lead + (slice(1, d),), w
 
 
 def _lower(arr: np.ndarray, axis: int) -> np.ndarray:
     """Annihilation action along one axis: out[n-1] += sqrt(n) arr[n]."""
-    below, above, w = _ladder_parts(arr, axis)
-    out = np.zeros_like(arr)
-    out[below] = w * arr[above]
+    below, above, w = _ladder_table(arr.shape, axis)
+    out = np.zeros(arr.shape, arr.dtype)
+    np.multiply(w, arr[above], out=out[below])
     return out
 
 
@@ -254,9 +257,9 @@ def _raise(arr: np.ndarray, axis: int) -> np.ndarray:
     The component already at the cutoff would map to occupation cutoff+1,
     outside the space, and is dropped.
     """
-    below, above, w = _ladder_parts(arr, axis)
-    out = np.zeros_like(arr)
-    out[above] = w * arr[below]
+    below, above, w = _ladder_table(arr.shape, axis)
+    out = np.zeros(arr.shape, arr.dtype)
+    np.multiply(w, arr[below], out=out[above])
     return out
 
 
@@ -311,19 +314,19 @@ def moments(ensemble: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
     n = basis.n_modes
     active = [m for m, c in enumerate(basis.cutoffs) if c > 0]
     k = len(active)
-    g = np.zeros((k, k), dtype=np.complex128)
-    gamma = np.zeros((k * k, k * k), dtype=np.complex128)
-    once = np.empty((k,) + basis.dims, dtype=np.complex128)
-    twice = np.empty((k, k) + basis.dims, dtype=np.complex128)
-    for w, s in ensemble.members:
-        for i, m in enumerate(active):
-            once[i] = _lower(s.amplitudes, m)
-        for i, j in np.ndindex(k, k):
-            twice[i, j] = _lower(once[i], active[j])
-        flat1 = once.reshape(k, -1)
-        flat2 = twice.reshape(k * k, -1)
-        g += w * (flat1.conj() @ flat1.T)
-        gamma += w * (flat2.conj() @ flat2.T)
+    # Members scaled by sqrt(w) and stacked on a leading axis, so that one
+    # lowering acts on all of them and the weighted sums are one product each.
+    stacked = np.stack([math.sqrt(w) * s.amplitudes for w, s in ensemble.members])
+    once = np.empty((k,) + stacked.shape, dtype=np.complex128)
+    twice = np.empty((k, k) + stacked.shape, dtype=np.complex128)
+    for i, m in enumerate(active):
+        once[i] = _lower(stacked, m + 1)
+    for j, m in enumerate(active):
+        twice[:, j] = _lower(once, m + 2)
+    flat1 = once.reshape(k, stacked.size)
+    flat2 = twice.reshape(k * k, stacked.size)
+    g = flat1.conj() @ flat1.T
+    gamma = flat2.conj() @ flat2.T
     g_full = np.zeros((n, n), dtype=np.complex128)
     g_full[np.ix_(active, active)] = g
     gamma_full = np.zeros((n,) * 4, dtype=np.complex128)
@@ -370,8 +373,16 @@ def variance_one_body(state: Moments | StateEnsemble, op: OneBodyOperator) -> fl
 #: Largest cutoff the tail searches consider before declaring divergence.
 _TAIL_SEARCH_LIMIT = 100_000
 
-#: Relative size below which a Taylor term no longer changes the sum.
-_ROUND_OFF = np.finfo(np.float64).eps / 2.0
+#: Squared relative size below which a Taylor term no longer changes the sum.
+_ROUND_OFF_SQ = (np.finfo(np.float64).eps / 2.0) ** 2
+
+
+@functools.lru_cache(maxsize=64)
+def _log_factorials(length: int) -> np.ndarray:
+    """log k! for k = 0..length-1."""
+    table = np.array([math.lgamma(j + 1.0) for j in range(length)])
+    table.flags.writeable = False
+    return table
 
 
 def log_poisson(mean_n: float, top: int) -> np.ndarray:
@@ -381,8 +392,7 @@ def log_poisson(mean_n: float, top: int) -> np.ndarray:
     way even when exp(-mean_n) or mean_n^k / k! alone would.
     """
     k = np.arange(top + 1)
-    log_factorial = np.array([math.lgamma(j + 1.0) for j in range(top + 1)])
-    return k * math.log(mean_n) - mean_n - log_factorial
+    return k * math.log(mean_n) - mean_n - _log_factorials(top + 1)
 
 
 def poisson_tail_cutoff(mean_n: float, eps: float) -> int:
@@ -434,25 +444,42 @@ def check_displacement_room(basis: BasisConfig, mode: int, u: complex, eps: floa
         )
 
 
+def _displacement_generator(c: complex, d: int) -> np.ndarray:
+    """c a+ - c* a on occupations 0..d-1, as a d x d matrix."""
+    a = np.diag(np.sqrt(np.arange(1, d)), k=1)
+    return c * a.T - np.conj(c) * a
+
+
+@functools.lru_cache(maxsize=64)
+def _quadrature_eigh(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (Lambda, V) of the Hermitian i(a+ - a) on occupations 0..d-1."""
+    lam, vec = np.linalg.eigh(1j * _displacement_generator(1.0, d))
+    lam.flags.writeable = False
+    vec.flags.writeable = False
+    return lam, vec
+
+
 def displace(state: PureState, mode: int, u: complex, eps: float = DEFAULT_EPS) -> PureState:
     """Apply the displacement exp(u a+ - u* a) on one mode.
 
-    Exponentiates the generator truncated to the mode subspace through the
-    eigendecomposition of the Hermitian matrix H = i(u a+ - u* a),
-    U = V exp(-i Lambda) V+, which is exactly unitary on the truncated space.
-    It is the expm oracle for the closed-form coherent builds in ``states``.
+    Exponentiates the generator truncated to the mode subspace. With
+    R = diag(e^(i arg(u) n)), u a+ - u* a = |u| R (a+ - a) R+, so from the
+    eigendecomposition i(a+ - a) = V Lambda V+, computed once per cutoff,
+    U = (RV) exp(-i |u| Lambda) (RV)+, which is exactly unitary on the
+    truncated space. It is the expm oracle for the closed-form coherent
+    builds in ``states``.
     """
     axis = int(mode)
     check_displacement_room(state.basis, axis, u, eps)
     if u == 0:
         return state
     d = state.basis.dims[axis]
-    a = np.diag(np.sqrt(np.arange(1, d)), k=1)
-    lam, vec = np.linalg.eigh(1j * (u * a.T - np.conj(u) * a))
-    unitary = (vec * np.exp(-1j * lam)) @ vec.conj().T
-    moved = np.moveaxis(state.amplitudes, axis, 0)
-    res = np.tensordot(unitary, moved, axes=(1, 0))
-    return PureState(state.basis, np.moveaxis(res, 0, axis))
+    lam, vec = _quadrature_eigh(d)
+    rotated = np.exp(1j * cmath.phase(u) * np.arange(d))[:, None] * vec
+    unitary = (rotated * np.exp(-1j * abs(u) * lam)) @ rotated.conj().T
+    shape = state.amplitudes.shape
+    view = state.amplitudes.reshape(math.prod(shape[:axis]), d, -1)
+    return PureState(state.basis, (unitary @ view).reshape(shape))
 
 
 def tmsv_tail_cutoff(r: float, eps: float) -> int:
@@ -460,6 +487,8 @@ def tmsv_tail_cutoff(r: float, eps: float) -> int:
 
     The thermal marginal gives tail mass tanh(r)^(2(n+1)) beyond occupation n.
     """
+    if not math.isfinite(r):
+        raise TruncationError(f"squeezing r={r} has no finite tail cutoff")
     if r <= 0.0:
         return 0
     t2 = math.tanh(r) ** 2
@@ -485,6 +514,17 @@ def check_squeezing_room(
         )
 
 
+def _distinct_finite_pair(mode_a: int, mode_b: int, what: str, *strengths: complex):
+    """The pair's axes; SimulationError for a repeated mode or a non-finite strength."""
+    ia, ib = int(mode_a), int(mode_b)
+    if ia == ib:
+        raise SimulationError(f"{what} needs two distinct modes")
+    for c in strengths:
+        if not cmath.isfinite(c):
+            raise SimulationError(f"{what} strength {c} is not finite")
+    return ia, ib
+
+
 def two_mode_squeeze(
     state: PureState,
     mode_a: int,
@@ -498,21 +538,23 @@ def two_mode_squeeze(
     is r = |zeta|/2. It is the expm oracle for the closed-form squeezed
     build in ``states``.
     """
-    ia, ib = int(mode_a), int(mode_b)
-    if ia == ib:
-        raise SimulationError("two-mode squeezing needs two distinct modes")
+    ia, ib = _distinct_finite_pair(mode_a, mode_b, "two-mode squeezing", zeta)
     check_squeezing_room(state.basis, ia, ib, zeta, eps)
     if zeta == 0:
         return state
     da, db = state.basis.dims[ia], state.basis.dims[ib]
+    # a_A a_B takes x[i+1, j+1] to row (i, j) with weight sqrt((i+1)(j+1)).
+    w = np.sqrt(np.outer(np.arange(1, da), np.arange(1, db)))
+    down, up = (np.conj(zeta) / 2.0) * w, (zeta / 2.0) * w
 
-    def generator(arr):
-        down = _lower(_lower(arr, ia), ib)
-        up = _raise(_raise(arr, ia), ib)
-        return (np.conj(zeta) / 2.0) * down - (zeta / 2.0) * up
+    def generator(x):
+        out = np.zeros(x.shape, x.dtype)
+        np.multiply(down, x[:, 1:, 1:], out=out[:, :-1, :-1])
+        out[:, 1:, 1:] -= up * x[:, :-1, :-1]
+        return out
 
     norm = abs(zeta) * math.sqrt((da - 1) * (db - 1))
-    return _apply_exponential(state, generator, norm)
+    return _apply_exponential(state, ia, ib, generator, norm)
 
 
 def displace_pair_generator(
@@ -527,36 +569,42 @@ def displace_pair_generator(
     Used to realize displacements of collective (superposition) modes without
     assuming they factorize into per-mode displacements.
     """
-    ia, ib = int(mode_a), int(mode_b)
+    ia, ib = _distinct_finite_pair(mode_a, mode_b, "a joint displacement", coeff_a, coeff_b)
     da, db = state.basis.dims[ia], state.basis.dims[ib]
+    gen_a = _displacement_generator(coeff_a, da)
+    gen_b_t = _displacement_generator(coeff_b, db).T
 
-    def generator(arr):
-        out = coeff_a * _raise(arr, ia) + coeff_b * _raise(arr, ib)
-        return out - np.conj(coeff_a) * _lower(arr, ia) - np.conj(coeff_b) * _lower(arr, ib)
+    def generator(x):
+        return gen_a @ x + x @ gen_b_t
 
     norm = 2.0 * (abs(coeff_a) * math.sqrt(da - 1) + abs(coeff_b) * math.sqrt(db - 1))
-    return _apply_exponential(state, generator, norm)
+    return _apply_exponential(state, ia, ib, generator, norm)
 
 
-def _apply_exponential(state: PureState, generator, norm: float) -> PureState:
-    """Apply exp(A) to the amplitudes, given A as an action and a bound on ||A||.
+def _apply_exponential(
+    state: PureState, mode_a: int, mode_b: int, generator, norm: float
+) -> PureState:
+    """Apply exp(A) for A acting on a mode pair, given A's action and a bound on ||A||.
 
-    The generator acts with the truncated ladder operators P a P and P a+ P,
-    so this is the exponential of the truncated generator. It is summed as a
-    Taylor series in substeps with ||A|| / steps <= 2; past the second term
-    each term is at most 2/3 of the one before, so the series is cut once a
-    term falls below round-off.
+    The amplitudes are viewed once as (rest, d_A, d_B), the pair axes last,
+    and the generator acts on that view. It acts with the truncated ladder
+    operators P a P and P a+ P, so this is the exponential of the truncated
+    generator. It is summed as a Taylor series in substeps with
+    ||A|| / steps <= 2; past the second term each term is at most 2/3 of the
+    one before, so the series is cut once a term falls below round-off.
     """
     steps = max(1, math.ceil(norm / 2.0))
-    arr = state.amplitudes
+    pair = np.moveaxis(state.amplitudes, (mode_a, mode_b), (-2, -1))
+    arr = pair.reshape((-1,) + pair.shape[-2:])
     for _ in range(steps):
         term, total, k = arr, arr.copy(), 0
-        while k < 2 or np.linalg.norm(term) > _ROUND_OFF * np.linalg.norm(total):
+        while k < 2 or np.vdot(term, term).real > _ROUND_OFF_SQ * np.vdot(total, total).real:
             k += 1
             term = generator(term) / (k * steps)
             total += term
         arr = total
-    return PureState(state.basis, arr)
+    out = np.moveaxis(arr.reshape(pair.shape), (-2, -1), (mode_a, mode_b))
+    return PureState(state.basis, out)
 
 
 def number_operator(n_modes: int, mode: int) -> OneBodyOperator:

@@ -49,6 +49,14 @@ class TestSParameter:
         with pytest.raises(SimulationError):
             analysis.s_parameter(e, DEFAULT_CHSH_SETTINGS)
 
+    def test_angle_past_half_the_float_range(self):
+        # 2 * 1.7e308 overflows; the grid reduces such an angle modulo pi first.
+        state = states.build(StateSpec(Family.ENTANGLED_FOCK, n=1))
+        huge = analysis.s_parameter(state, ChshSettings(0.3, 0.0, 0.0, 1.7e308))
+        reduced = ChshSettings(0.3, 0.0, 0.0, math.fmod(1.7e308, math.pi))
+        assert math.isfinite(huge.s_value)
+        assert huge.s_value == analysis.s_parameter(state, reduced).s_value
+
     def test_consistency_invariant(self):
         res = analysis.s_parameter(states.werner_fock(2, 0.6), DEFAULT_CHSH_SETTINGS)
         combo = (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinorbit_bell import fock
+from spinorbit_bell import fock, states
 from spinorbit_bell.errors import SimulationError, TruncationError
 from spinorbit_bell.fock import (
     BasisConfig,
@@ -71,6 +71,22 @@ def test_ladder_vs_one_body_number():
         StateEnsemble.pure(state), fock.number_operator(2, 1)
     )
     assert direct == pytest.approx(via_op, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "shape", [(4,), (4, 3), (3, 4), (2, 4, 3), (4, 4, 2), (3, 2, 4), (2, 3, 2, 4)]
+)
+def test_ladder_tables_against_dense_matrices(shape):
+    # The shapes share cutoff 3 at different axes and ranks, so a table
+    # cached by cutoff or axis alone would act on the wrong axis or broadcast
+    # against the wrong rank.
+    rng = np.random.default_rng(7)
+    arr = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for axis, d in enumerate(shape):
+        down = np.diag(np.sqrt(np.arange(1, d)), k=1)
+        for action, mat in ((fock._lower, down), (fock._raise, down.T)):
+            dense = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
+            np.testing.assert_allclose(action(arr, axis), dense, rtol=0, atol=1e-14)
 
 
 class TestOneBody:
@@ -214,6 +230,53 @@ class TestMoments:
         assert got_mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
         assert got_var + got_mean**2 == pytest.approx(second, rel=1e-12, abs=1e-12)
 
+    @staticmethod
+    def _member_loop(ensemble):
+        """G and Gamma member by member, from single lowerings and vdot."""
+        n = ensemble.basis.n_modes
+        g = np.zeros((n, n), dtype=np.complex128)
+        gamma = np.zeros((n,) * 4, dtype=np.complex128)
+        for w, s in ensemble.members:
+            once = [fock.apply_ladder(s, j, "annihilate") for j in range(n)]
+            twice = [[fock.apply_ladder(o, j, "annihilate") for j in range(n)] for o in once]
+            for j, k in np.ndindex(n, n):
+                g[j, k] += w * once[j].overlap(once[k])
+            for i, j, k, l in np.ndindex(n, n, n, n):
+                gamma[i, j, k, l] += w * twice[i][j].overlap(twice[k][l])
+        return g, gamma
+
+    @staticmethod
+    def _random_ensemble():
+        rng = np.random.default_rng(41)
+        basis = BasisConfig((3, 2, 2, 3))
+        members = []
+        for w in rng.dirichlet(np.ones(3)):
+            amps = rng.normal(size=basis.dims) + 1j * rng.normal(size=basis.dims)
+            members.append((w, PureState(basis, amps / np.linalg.norm(amps))))
+        return StateEnsemble(tuple(members))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: states.werner_fock(3, 0.4),
+            lambda: states.mixed_coherent(1.2 - 0.4j, 0.3, 0.7, phase_points=8),
+            lambda: TestMoments._random_ensemble(),
+        ],
+        ids=["werner N=3 p=0.4", "mixed_coherent K=8", "random 3 members"],
+    )
+    def test_batched_matches_member_loop(self, build):
+        ensemble = build()
+        g, gamma = fock.moments(ensemble)
+        ref_g, ref_gamma = self._member_loop(ensemble)
+        bound = 1e-13 * max(1.0, float(ref_g.trace().real))
+        assert np.max(np.abs(g - ref_g)) < bound
+        assert np.max(np.abs(gamma - ref_gamma)) < bound
+
+    def test_all_cutoffs_zero(self):
+        g, gamma = fock.moments(StateEnsemble.pure(fock.vacuum(BasisConfig((0, 0)))))
+        assert not g.any() and g.shape == (2, 2)
+        assert not gamma.any() and gamma.shape == (2,) * 4
+
     def test_cutoff_zero_modes_are_skipped(self):
         s = number_state(BasisConfig((2, 0, 0, 2)), (1, 0, 0, 2))
         g, gamma = fock.moments(StateEnsemble.pure(s))
@@ -352,6 +415,34 @@ class TestTwoModeSqueeze:
             fock.two_mode_squeeze(fock.vacuum(BasisConfig((3, 3))), 1, 1, 0.5)
 
 
+class TestPairArguments:
+    """Repeated modes and non-finite strengths are rejected by name."""
+
+    STATE = fock.vacuum(BasisConfig((3, 3)))
+
+    def test_joint_displacement_same_mode_rejected(self):
+        with pytest.raises(SimulationError, match="needs two distinct modes"):
+            fock.displace_pair_generator(self.STATE, 1, 1, 0.3, 0.2)
+
+    @pytest.mark.parametrize("zeta", [math.nan, complex(0.1, math.nan), math.inf])
+    def test_squeeze_non_finite(self, zeta):
+        with pytest.raises(SimulationError, match="not finite"):
+            fock.two_mode_squeeze(self.STATE, 0, 1, zeta)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(math.nan, 0.2), (0.3, complex(math.nan, 0.0)), (math.inf, 0.2), (0.3, -1j * math.inf)],
+    )
+    def test_joint_displacement_non_finite(self, coeffs):
+        with pytest.raises(SimulationError, match="not finite"):
+            fock.displace_pair_generator(self.STATE, 0, 1, *coeffs)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_tail_cutoff_non_finite(self, r):
+        with pytest.raises(TruncationError, match=f"r={r}"):
+            fock.tmsv_tail_cutoff(r, 1e-10)
+
+
 def random_interior_state(rng, basis, top=3):
     """Normalized random state whose occupations of ``top`` and more are empty."""
     amps = np.zeros(basis.dims, dtype=np.complex128)
@@ -410,41 +501,50 @@ class TestAgainstScipy:
     """The numpy exponentials against scipy's expm and expm_multiply."""
 
     BASIS = BasisConfig((12, 1, 11))
+    #: Four modes with non-trivial axes on both sides of the pair (1, 2).
+    FOUR = BasisConfig((2, 7, 6, 2))
+    #: (basis, mode_a, mode_b): the pair in order, reversed, and inside four modes.
+    PAIRS = [(BASIS, 0, 2), (BASIS, 2, 0), (FOUR, 1, 2), (FOUR, 2, 1)]
 
     def test_displace(self):
         expm = pytest.importorskip("scipy.linalg").expm
         rng = np.random.default_rng(21)
         state = random_interior_state(rng, self.BASIS, top=12)
         a = _ladder(self.BASIS.dims[2])
-        for u in (0.5, 0.3 - 0.6j):
+        # All four quadrants, both imaginary half-axes and zero.
+        for u in (0.5, 0.3 - 0.6j, 0.4 + 0.5j, -0.6 + 0.2j, -0.3 - 0.4j, 0.7j, -0.5j, 0.0):
             unitary = expm(u * a.T - np.conj(u) * a)
             ref = np.moveaxis(np.tensordot(unitary, state.amplitudes, axes=(1, 2)), 0, 2)
             out = fock.displace(state, 2, u, eps=1e-6)
-            assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
+            assert np.max(np.abs(out.amplitudes - ref)) < 1e-12, u
 
     @pytest.mark.parametrize("zeta", [0.5, 0.4 - 0.3j])
     def test_two_mode_squeeze(self, zeta):
         sp = pytest.importorskip("scipy.sparse")
         expm_multiply = pytest.importorskip("scipy.sparse.linalg").expm_multiply
         rng = np.random.default_rng(22)
-        state = random_interior_state(rng, self.BASIS, top=12)
-        pair_down = np.kron(_ladder(13), _ladder(12))
-        gen = (np.conj(zeta) / 2.0) * pair_down - (zeta / 2.0) * pair_down.conj().T
-        ref = _on_pair(state, 0, 2, lambda rows: expm_multiply(sp.csc_matrix(gen), rows))
-        out = fock.two_mode_squeeze(state, 0, 2, zeta, eps=1e-6)
-        assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
+        for basis, mode_a, mode_b in self.PAIRS:
+            state = random_interior_state(rng, basis, top=12)
+            pair_down = np.kron(_ladder(basis.dims[mode_a]), _ladder(basis.dims[mode_b]))
+            gen = (np.conj(zeta) / 2.0) * pair_down - (zeta / 2.0) * pair_down.conj().T
+            sparse = sp.csc_matrix(gen)
+            ref = _on_pair(state, mode_a, mode_b, lambda rows: expm_multiply(sparse, rows))
+            out = fock.two_mode_squeeze(state, mode_a, mode_b, zeta, eps=1e-6)
+            assert np.max(np.abs(out.amplitudes - ref)) < 1e-12, (mode_a, mode_b)
 
     def test_displace_pair_generator(self):
         expm = pytest.importorskip("scipy.linalg").expm
         rng = np.random.default_rng(23)
-        state = random_interior_state(rng, self.BASIS, top=12)
-        c_a, c_b = 0.4 + 0.2j, -0.5j
-        a = np.kron(_ladder(13), np.eye(12))
-        b = np.kron(np.eye(13), _ladder(12))
-        gen = c_a * a.T + c_b * b.T - np.conj(c_a) * a - np.conj(c_b) * b
-        ref = _on_pair(state, 0, 2, lambda rows: expm(gen) @ rows)
-        out = fock.displace_pair_generator(state, 0, 2, c_a, c_b)
-        assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
+        c_a, c_b = 0.4 + 0.2j, -0.3 - 0.5j
+        for basis, mode_a, mode_b in self.PAIRS:
+            state = random_interior_state(rng, basis, top=12)
+            da, db = basis.dims[mode_a], basis.dims[mode_b]
+            a = np.kron(_ladder(da), np.eye(db))
+            b = np.kron(np.eye(da), _ladder(db))
+            gen = c_a * a.T + c_b * b.T - np.conj(c_a) * a - np.conj(c_b) * b
+            ref = _on_pair(state, mode_a, mode_b, lambda rows: expm(gen) @ rows)
+            out = fock.displace_pair_generator(state, mode_a, mode_b, c_a, c_b)
+            assert np.max(np.abs(out.amplitudes - ref)) < 1e-12, (mode_a, mode_b)
 
 
 def test_states_are_immutable():
