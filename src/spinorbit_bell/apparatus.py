@@ -72,8 +72,9 @@ def reflection_matrix(theta: float) -> np.ndarray:
 
 
 def setting_unitary(settings: Settings) -> np.ndarray:
-    """Combined mode transform T(alpha) (x) T(beta) on (Hh, Hv, Vh, Vv)."""
-    return np.kron(reflection_matrix(settings.alpha), reflection_matrix(settings.beta))
+    """Combined mode transform T(alpha) (x) T(beta) on (Hh, Hv, Vh, Vv), np.kron as a broadcast."""
+    a, b = reflection_matrix(settings.alpha), reflection_matrix(settings.beta)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def m_operator(settings: Settings) -> OneBodyOperator:

@@ -55,8 +55,9 @@ class BasisConfig:
         object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
         if self.dimension > MAX_DIMENSION:
             raise TruncationError(
-                f"basis dimension {self.dimension} (cutoffs {self.cutoffs}) exceeds "
-                f"the guard MAX_DIMENSION={MAX_DIMENSION}"
+                f"basis dimension {self.dimension} at cutoff {max(self.cutoffs)} (cutoffs "
+                f"{self.cutoffs}) exceeds the guard MAX_DIMENSION={MAX_DIMENSION}",
+                required_cutoff=max(self.cutoffs),
             )
 
     @property
@@ -216,8 +217,8 @@ class OneBodyOperator:
         mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise SimulationError("one-body matrix must be square")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise SimulationError("one-body matrix must be Hermitian")
+        if not (np.isfinite(mat).all() and np.max(np.abs(mat - mat.conj().T)) <= 1e-12):
+            raise SimulationError("one-body matrix must be finite and Hermitian")
         mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -243,10 +244,10 @@ def _ladder_table(shape: tuple[int, ...], axis: int):
     return lead + (slice(0, d - 1),), lead + (slice(1, d),), w
 
 
-def _lower(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Annihilation action along one axis: out[n-1] += sqrt(n) arr[n]."""
+def _lower(arr: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Annihilation along one axis, out[n-1] = sqrt(n) arr[n]; a given out is 0 at the top."""
     below, above, w = _ladder_table(arr.shape, axis)
-    out = np.zeros(arr.shape, arr.dtype)
+    out = np.zeros(arr.shape, arr.dtype) if out is None else out
     np.multiply(w, arr[above], out=out[below])
     return out
 
@@ -284,20 +285,19 @@ def apply_one_body(state: PureState, op: OneBodyOperator) -> PureState:
         raise SimulationError(
             f"operator acts on {op.n_modes} modes, state has {state.basis.n_modes}"
         )
-    arr = state.amplitudes
-    out = np.zeros_like(arr)
-    B = op.matrix
-    for j in range(op.n_modes):
-        for k in range(op.n_modes):
-            if B[j, k] == 0:
-                continue
-            if j == k:
-                d = arr.shape[j]
-                n = np.arange(d).reshape((-1,) + (1,) * (arr.ndim - j - 1))
-                out += B[j, j] * (n * np.moveaxis(arr, j, j))
-            else:
-                out += B[j, k] * _raise(_lower(arr, k), j)
-    return PureState(state.basis, out)
+    # Each mode is lowered once, one product mixes them into
+    # mix_j = sum_k B_jk a_k psi, and each mix_j is raised once on its mode j.
+    arr, n = state.amplitudes, op.n_modes
+    mixed = op.matrix @ np.stack([_lower(arr, k) for k in range(n)]).reshape(n, -1)
+    mixed = mixed.reshape((n,) + arr.shape)
+    return PureState(state.basis, sum(_raise(mixed[j], j) for j in range(n)))
+
+
+@functools.lru_cache(maxsize=64)
+def _active_blocks(cutoffs: tuple[int, ...]):
+    """The modes with a nonzero cutoff, and the np.ix_ indices of their G and Gamma blocks."""
+    active = [m for m, c in enumerate(cutoffs) if c > 0]
+    return active, np.ix_(active, active), np.ix_(*[active] * 4)
 
 
 def moments(ensemble: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
@@ -310,27 +310,29 @@ def moments(ensemble: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
     of the truncated state. Modes with cutoff 0 contribute only zeros and are
     skipped.
     """
-    basis = ensemble.basis
-    n = basis.n_modes
-    active = [m for m, c in enumerate(basis.cutoffs) if c > 0]
+    n = ensemble.basis.n_modes
+    active, block2, block4 = _active_blocks(ensemble.basis.cutoffs)
     k = len(active)
     # Members scaled by sqrt(w) and stacked on a leading axis, so that one
     # lowering acts on all of them and the weighted sums are one product each.
     stacked = np.stack([math.sqrt(w) * s.amplitudes for w, s in ensemble.members])
-    once = np.empty((k,) + stacked.shape, dtype=np.complex128)
-    twice = np.empty((k, k) + stacked.shape, dtype=np.complex128)
+    once = np.zeros((k,) + stacked.shape, dtype=np.complex128)
+    twice = np.zeros((k, k) + stacked.shape, dtype=np.complex128)
     for i, m in enumerate(active):
-        once[i] = _lower(stacked, m + 1)
+        _lower(stacked, m + 1, once[i])
+    # Row (j, i) holds a_j a_i psi, which is a_i a_j psi; Gamma has that symmetry.
     for j, m in enumerate(active):
-        twice[:, j] = _lower(once, m + 2)
+        _lower(once, m + 2, twice[j])
     flat1 = once.reshape(k, stacked.size)
     flat2 = twice.reshape(k * k, stacked.size)
     g = flat1.conj() @ flat1.T
     gamma = flat2.conj() @ flat2.T
+    if k == n:
+        return g, gamma.reshape((n,) * 4)
     g_full = np.zeros((n, n), dtype=np.complex128)
-    g_full[np.ix_(active, active)] = g
+    g_full[block2] = g
     gamma_full = np.zeros((n,) * 4, dtype=np.complex128)
-    gamma_full[np.ix_(active, active, active, active)] = gamma.reshape((k,) * 4)
+    gamma_full[block4] = gamma.reshape((k,) * 4)
     return g_full, gamma_full
 
 
@@ -340,22 +342,23 @@ def mean_and_variance(
     """Mixture mean <B> and variance <B^2> - <B>^2 of a one-body observable.
 
     Contracts the state's moments: <B> = sum B_jk G_jk and
-    var = sum B_ij B_kl K_ikjl + sum (B^2)_il G_il. The imaginary residue of
-    the mean and a negative variance are checked against 1e-9 of
-    max(1, itot), the scale of the rounding in the sums.
+    var = sum B_ij B_kl K_ikjl + sum (B^2)_il G_il, the first sum a bilinear
+    form in B with K regrouped to (ij) x (kl). The imaginary residue of the
+    mean and a negative variance are checked against 1e-9 of max(1, itot),
+    the scale of the rounding in the sums; a NaN fails both checks.
     """
     m = as_moments(state)
-    if op.n_modes != m.g.shape[0]:
-        raise SimulationError(
-            f"operator acts on {op.n_modes} modes, state has {m.g.shape[0]}"
-        )
-    b = op.matrix
+    b, n = op.matrix, op.n_modes
+    if n != m.g.shape[0]:
+        raise SimulationError(f"operator acts on {n} modes, state has {m.g.shape[0]}")
     tol = 1e-9 * max(1.0, m.itot)
-    mean = complex(np.sum(b * m.g))
-    if abs(mean.imag) > tol:
+    g = m.g.ravel()
+    mean = complex(b.ravel() @ g)
+    if not abs(mean.imag) <= tol:
         raise SimulationError(f"expectation has imaginary residue {mean.imag}")
-    var = float((np.einsum("ij,kl,ikjl->", b, b, m.k) + np.sum((b @ b) * m.g)).real)
-    if var < -tol:
+    k = m.k.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    var = float((b.ravel() @ k @ b.ravel() + (b @ b).ravel() @ g).real)
+    if not var >= -tol:
         raise SimulationError(f"negative variance {var}")
     return mean.real, var
 
@@ -391,8 +394,9 @@ def log_poisson(mean_n: float, top: int) -> np.ndarray:
     Each term is formed in log space, so no term under- or overflows on the
     way even when exp(-mean_n) or mean_n^k / k! alone would.
     """
-    k = np.arange(top + 1)
-    return k * math.log(mean_n) - mean_n - _log_factorials(top + 1)
+    # Tables of power-of-two lengths, so that a few serve every top.
+    table = _log_factorials(1 << top.bit_length())
+    return np.arange(top + 1) * math.log(mean_n) - mean_n - table[: top + 1]
 
 
 def poisson_tail_cutoff(mean_n: float, eps: float) -> int:
@@ -409,16 +413,19 @@ def poisson_tail_cutoff(mean_n: float, eps: float) -> int:
         )
     if not eps > 0.0:
         raise TruncationError(f"Poisson tail cannot fall to eps={eps}")
-    # Past the mean the terms fall faster than geometrically; once below
-    # eps * e^-40 the rest of the tail cannot change the answer.
+    # Past the mean the terms fall faster than geometrically; once below floor = eps e^-40
+    # the rest cannot change the answer. By log t! >= t log t - t + 1 and Bernstein's bound,
+    # all terms from t = m + L/3 + sqrt(L^2/9 + 2Lm) on, L = -log floor, are below it.
     floor = math.log(eps) - 40.0
-    top = max(math.ceil(mean_n), 1)
-    while top * math.log(mean_n) - mean_n - math.lgamma(top + 1.0) > floor:
-        top += 1
-        if top > _TAIL_SEARCH_LIMIT:
-            raise TruncationError("Poisson tail does not converge")
+    depth = max(-floor, 0.0)
+    upper = mean_n + depth / 3.0 + math.sqrt(depth * depth / 9.0 + 2.0 * depth * mean_n)
+    log_p = log_poisson(mean_n, min(math.ceil(upper), _TAIL_SEARCH_LIMIT))
+    start = max(math.ceil(mean_n), 1)
+    below = log_p[start:] <= floor
+    if not below.any():
+        raise TruncationError("Poisson tail does not converge")
     # at_least[k] = P(X >= k), so the mass above n is at_least[n + 1].
-    at_least = np.cumsum(np.exp(log_poisson(mean_n, top))[::-1])[::-1]
+    at_least = np.cumsum(np.exp(log_p[: start + np.argmax(below) + 1])[::-1])[::-1]
     return int(np.argmax(at_least[1:] <= eps))
 
 
@@ -589,18 +596,22 @@ def _apply_exponential(
     The amplitudes are viewed once as (rest, d_A, d_B), the pair axes last,
     and the generator acts on that view. It acts with the truncated ladder
     operators P a P and P a+ P, so this is the exponential of the truncated
-    generator. It is summed as a Taylor series in substeps with
-    ||A|| / steps <= 2; past the second term each term is at most 2/3 of the
-    one before, so the series is cut once a term falls below round-off.
+    generator. It is summed as a Taylor series in substeps with h = ||A|| / steps
+    <= 6. Term k + 1 is at most h / (k + 1) of term k, so once that is <= 2/3 the
+    series is cut at a term below round-off of the substep's input, whose norm
+    the anti-Hermitian generator keeps.
     """
-    steps = max(1, math.ceil(norm / 2.0))
+    steps = max(1, math.ceil(norm / 6.0))
+    first = math.ceil(1.5 * norm / steps) - 1
     pair = np.moveaxis(state.amplitudes, (mode_a, mode_b), (-2, -1))
     arr = pair.reshape((-1,) + pair.shape[-2:])
     for _ in range(steps):
         term, total, k = arr, arr.copy(), 0
-        while k < 2 or np.vdot(term, term).real > _ROUND_OFF_SQ * np.vdot(total, total).real:
+        floor = _ROUND_OFF_SQ * np.vdot(arr, arr).real
+        while k < first or np.vdot(term, term).real > floor:
             k += 1
-            term = generator(term) / (k * steps)
+            term = generator(term)
+            term /= k * steps
             total += term
         arr = total
     out = np.moveaxis(arr.reshape(pair.shape), (-2, -1), (mode_a, mode_b))

@@ -114,8 +114,10 @@ def _check_ensemble_size(members: int, basis: BasisConfig) -> None:
     """Raise TruncationError before allocating an ensemble over the guard."""
     if members * basis.dimension > MAX_ENSEMBLE_AMPLITUDES:
         raise TruncationError(
-            f"ensemble of {members} members of dimension {basis.dimension} exceeds "
-            f"the guard MAX_ENSEMBLE_AMPLITUDES={MAX_ENSEMBLE_AMPLITUDES}"
+            f"ensemble of {members} members of dimension {basis.dimension} at cutoff "
+            f"{max(basis.cutoffs)} exceeds the guard "
+            f"MAX_ENSEMBLE_AMPLITUDES={MAX_ENSEMBLE_AMPLITUDES}",
+            required_cutoff=max(basis.cutoffs),
         )
 
 
@@ -239,14 +241,12 @@ def mixed_coherent(
         basis = coherent_basis(max_mean, eps)
     fock.check_displacement_room(basis, ModeIndex.HH, u, eps)
     _check_ensemble_size(phase_points, basis)
-    members = []
-    w = 1.0 / phase_points
-    for k in range(phase_points):
-        theta = 2.0 * math.pi * k / phase_points
-        u_prime = u * (root_r * cmath.exp(1j * phi) + root_t * cmath.exp(1j * theta))
-        fock.check_displacement_room(basis, ModeIndex.VV, u_prime, eps)
-        members.append((w, _coherent_pair(basis, u, u_prime)))
-    return StateEnsemble(tuple(members))
+    shift = root_r * cmath.exp(1j * phi)
+    turns = (cmath.exp(2j * math.pi * k / phase_points) for k in range(phase_points))
+    u_vv = [u * (shift + root_t * turn) for turn in turns]
+    # The Poisson tail grows with the mean, so the largest displacement needs the most room.
+    fock.check_displacement_room(basis, ModeIndex.VV, max(u_vv, key=abs), eps)
+    return StateEnsemble(tuple((1.0 / phase_points, _coherent_pair(basis, u, v)) for v in u_vv))
 
 
 def two_mode_squeezed(

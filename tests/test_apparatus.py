@@ -39,6 +39,18 @@ class TestSettingUnitary:
         u = apparatus.setting_unitary(Settings(rng.uniform(0, 7), rng.uniform(0, 7)))
         assert np.allclose(u.T @ u, np.eye(4), atol=1e-14)
 
+    def test_equals_kron_bit_for_bit(self):
+        # Each entry is one product a_ik b_jl either way, so they must agree exactly.
+        rng = np.random.default_rng(77)
+        angles = list(rng.uniform(-10.0, 10.0, (200, 2)))
+        angles += [(0.0, 0.0), (math.pi / 4, -math.pi / 8), (1e300, -1e-300), (-0.0, 3.0)]
+        for alpha, beta in angles:
+            t_alpha, t_beta = (apparatus.reflection_matrix(x) for x in (alpha, beta))
+            expected = np.kron(t_alpha, t_beta)
+            actual = apparatus.setting_unitary(Settings(alpha, beta))
+            assert actual.shape == (4, 4)
+            assert actual.tobytes() == expected.tobytes(), (alpha, beta)
+
 
 class TestMOperator:
     def test_zero_settings_is_parity(self):

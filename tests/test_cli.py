@@ -216,8 +216,9 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, mode, text, field)
 def test_dimension_guard_is_a_truncation_error():
     # The guard now bounds the Fock oracle only; the CLI runs on closed-form
     # moments (see test_beyond_the_oracle_caps).
-    with pytest.raises(TruncationError, match="4012009"):
+    with pytest.raises(TruncationError, match="4012009 at cutoff 2002") as exc:
         states.entangled_fock(2000)
+    assert exc.value.required_cutoff == 2002
 
 
 def test_json_output_is_strict():
@@ -404,9 +405,10 @@ def test_ensemble_guard_exits_3(tmp_path, capsys, monkeypatch):
     with pytest.raises(TruncationError) as exc:
         states.fock_ensemble(StateSpec(Family.MIXED_FOCK, n=10))
     assert str(exc.value) == (
-        "ensemble of 11 members of dimension 169 exceeds "
+        "ensemble of 11 members of dimension 169 at cutoff 12 exceeds "
         "the guard MAX_ENSEMBLE_AMPLITUDES=1000"
     )
+    assert exc.value.required_cutoff == 12
 
 
 #: States past every cap of the Fock oracle (dimension, ensemble size, Poisson

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinorbit_bell import fock, states
+from spinorbit_bell import apparatus, fock, states
+from spinorbit_bell.apparatus import Settings
 from spinorbit_bell.errors import SimulationError, TruncationError
 from spinorbit_bell.fock import (
     BasisConfig,
@@ -113,6 +114,48 @@ class TestOneBody:
         with pytest.raises(SimulationError):
             OneBodyOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(1.0, math.inf)])
+    @pytest.mark.parametrize("where", ["diagonal", "symmetric pair"])
+    def test_rejects_non_finite(self, value, where):
+        # Hermitian in form, so only finiteness can reject it; a NaN compares
+        # False both ways, so a test written as `> tol` would let it through.
+        mat = np.zeros((2, 2), dtype=np.complex128)
+        if where == "diagonal":
+            mat[1, 1] = value
+        else:
+            mat[0, 1], mat[1, 0] = value, np.conj(value)
+        with pytest.raises(SimulationError, match="finite and Hermitian"):
+            OneBodyOperator(mat)
+
+    def test_matches_the_pairwise_loop(self):
+        # The double loop that apply_one_body replaced: B_jk a+_j a_k one pair
+        # at a time, the diagonal as n_j.
+        def pairwise(arr, mat):
+            out = np.zeros_like(arr)
+            for j in range(arr.ndim):
+                for k in range(arr.ndim):
+                    if mat[j, k] == 0:
+                        continue
+                    if j == k:
+                        n = np.arange(arr.shape[j]).reshape((-1,) + (1,) * (arr.ndim - j - 1))
+                        out += mat[j, j] * (n * arr)
+                    else:
+                        out += mat[j, k] * fock._raise(fock._lower(arr, k), j)
+            return out
+
+        basis = BasisConfig((3, 3, 3, 3))
+        rng = np.random.default_rng(2024)
+        amps = rng.normal(size=basis.dims) + 1j * rng.normal(size=basis.dims)
+        psi = PureState(basis, amps / np.linalg.norm(amps))
+        mats = [apparatus.m_operator(Settings(*rng.uniform(0, math.pi, 2))).matrix]
+        mats.append(np.diag([1.0, -1.0, -1.0, 1.0]))
+        for _ in range(4):
+            mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            mats.append(mat + mat.conj().T)
+        for mat in mats:
+            out = fock.apply_one_body(psi, OneBodyOperator(mat)).amplitudes
+            assert np.max(np.abs(out - pairwise(psi.amplitudes, mat))) <= 1e-13
+
     def test_second_moment_consistency(self):
         # ||B psi||^2 equals <psi|B(B psi)> for the projected operator.
         basis = BasisConfig((2, 2, 2, 2))
@@ -185,6 +228,26 @@ class TestExpectation:
             )
         )
         assert fock.variance_one_body(e, op) == pytest.approx(1.0)
+
+    def test_overflow_to_nan_is_an_error(self):
+        # B of order 1e200 overflows the variance to inf - inf = NaN, which
+        # the negative-variance test must not let through.
+        moments = states.build(states.StateSpec(states.Family.ENTANGLED_FOCK, n=1))
+        op = OneBodyOperator(1e200 * apparatus.m_operator(Settings(0.3, 0.7)).matrix)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationError, match="negative variance nan"):
+                fock.mean_and_variance(moments, op)
+
+    @pytest.mark.parametrize("entry", ["g", "k"])
+    def test_nan_moments_are_an_error(self, entry):
+        # Moments refuse non-finite tensors, so the NaN is put in afterwards:
+        # this pins the checks themselves.
+        moments = states.build(states.StateSpec(states.Family.ENTANGLED_FOCK, n=1))
+        object.__setattr__(moments, entry, np.full_like(getattr(moments, entry), math.nan))
+        op = apparatus.m_operator(Settings(0.3, 0.7))
+        message = "imaginary residue nan" if entry == "g" else "negative variance nan"
+        with pytest.raises(SimulationError, match=message):
+            fock.mean_and_variance(moments, op)
 
     def test_ensemble_validation(self):
         basis = BasisConfig((1,))
@@ -364,6 +427,43 @@ class TestPoissonTailCutoff:
     def test_mean_beyond_search_limit(self, mean):
         with pytest.raises(TruncationError, match="tail search limit"):
             fock.poisson_tail_cutoff(mean, 1e-10)
+
+    @staticmethod
+    def _scalar_search(mean_n, eps):
+        """The loop that poisson_tail_cutoff replaced, one term per step."""
+        floor = math.log(eps) - 40.0
+        top = max(math.ceil(mean_n), 1)
+        while top * math.log(mean_n) - mean_n - math.lgamma(top + 1.0) > floor:
+            top += 1
+            if top > fock._TAIL_SEARCH_LIMIT:
+                raise TruncationError("Poisson tail does not converge")
+        log_fact = np.array([math.lgamma(j + 1.0) for j in range(top + 1)])
+        log_p = np.arange(top + 1) * math.log(mean_n) - mean_n - log_fact
+        at_least = np.cumsum(np.exp(log_p)[::-1])[::-1]
+        return int(np.argmax(at_least[1:] <= eps))
+
+    def test_matches_the_scalar_search(self):
+        rng = np.random.default_rng(1414)
+        means = 10.0 ** rng.uniform(-6.0, 4.0, 300)
+        epss = 10.0 ** rng.uniform(-15.0, -3.0, 300)
+        cases = list(zip(means, epss)) + [(1e-6, 1e-3), (1e4, 1e-15), (1.0, 1e-15), (0.5, 1e-3)]
+        for mean, eps in cases:
+            assert fock.poisson_tail_cutoff(mean, eps) == self._scalar_search(mean, eps), (
+                mean,
+                eps,
+            )
+
+    @pytest.mark.parametrize("mean", [fock._TAIL_SEARCH_LIMIT, fock._TAIL_SEARCH_LIMIT - 1.5])
+    def test_raises_past_the_search_limit(self, mean):
+        # The mean is within the limit, but the cutoff the tail needs is not.
+        for search in (fock.poisson_tail_cutoff, self._scalar_search):
+            with pytest.raises(TruncationError, match="does not converge"):
+                search(mean, 1e-10)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-10, math.nan, -math.inf])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(TruncationError, match="cannot fall"):
+            fock.poisson_tail_cutoff(2.0, eps)
 
     def test_overflowing_coherent_mean(self):
         assert fock.coherent_mean(1e160) == math.inf

@@ -354,6 +354,10 @@ class TestEnsembleGuard:
         assert f"MAX_ENSEMBLE_AMPLITUDES={members * 35}" in message
         if dimension is not None:
             assert f"dimension {dimension}" in message
+        # The refused basis's largest cutoff, named in the message too.
+        monkeypatch.undo()
+        assert err.value.required_cutoff == max(states.fock_ensemble(spec).basis.cutoffs)
+        assert f"at cutoff {err.value.required_cutoff} exceeds" in message
 
     def test_at_the_guard_builds(self, monkeypatch):
         monkeypatch.setattr(states, "MAX_ENSEMBLE_AMPLITUDES", 4 * 36)
