@@ -11,6 +11,7 @@ family and serves as an independent oracle.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -152,12 +153,8 @@ def closed_form_itot(spec: StateSpec) -> float:
     raise SimulationError(f"unknown family {f}")
 
 
-def closed_form(spec: StateSpec, settings: Settings) -> tuple[float, float | None]:
-    """Analytic (mean_m/itot, var_m/itot) for a catalog family.
-
-    The variance entry is None where no analytic expression is available
-    (mixed coherent with 0 < R < 1).
-    """
+def closed_form(spec: StateSpec, settings: Settings) -> tuple[float, float]:
+    """Analytic (mean_m/itot, var_m/itot) for a catalog family."""
     a, b = settings.alpha, settings.beta
     c2a, s2a = math.cos(2 * a), math.sin(2 * a)
     c2b, s2b = math.cos(2 * b), math.sin(2 * b)
@@ -185,15 +182,12 @@ def closed_form(spec: StateSpec, settings: Settings) -> tuple[float, float | Non
         return relative, 1.0
 
     if f is Family.MIXED_COHERENT:
-        root_r = math.sqrt(spec.reflectivity)
+        r = spec.reflectivity
+        root_r = math.sqrt(r)
         mean = c2a * c2b + root_r * math.cos(spec.phi) * s2a * s2b
-        if spec.reflectivity == 0.0:
-            var = 1.0 + (closed_form_itot(spec) / 2.0) * s2a**2 * s2b**2
-        elif spec.reflectivity == 1.0:
-            var = 1.0
-        else:
-            var = None
-        return mean, var
+        # Only the phase-averaged part of the Vv beam, of weight |u|^2 (1 - R), adds noise.
+        beat = s2a * s2b + root_r * cmath.exp(1j * spec.phi) * c2a * c2b
+        return mean, 1.0 + abs(spec.u) ** 2 * (1.0 - r) * abs(beat) ** 2
 
     if f is Family.TWO_MODE_SQUEEZED_VACUUM:
         itot = closed_form_itot(spec)

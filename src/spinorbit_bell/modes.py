@@ -13,20 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimulationError
-from .partitions import BellModeLabel
+from .partitions import BELL_MODES, BellModeLabel
 
 #: Normalization giving unit transverse power: integral of x^2 e^{-r^2} is pi/2.
 _NORM = math.sqrt(2.0 / math.pi)
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-
-#: (A_Hh, A_Hv, A_Vh, A_Vv) for the four maximally non-separable modes.
-BELL_COEFFICIENTS = {
-    BellModeLabel.PSI_PLUS: (_SQ2, 0.0, 0.0, _SQ2),
-    BellModeLabel.PSI_MINUS: (_SQ2, 0.0, 0.0, -_SQ2),
-    BellModeLabel.PHI_PLUS: (0.0, _SQ2, _SQ2, 0.0),
-    BellModeLabel.PHI_MINUS: (0.0, -_SQ2, _SQ2, 0.0),
-}
 
 
 @dataclass(frozen=True)
@@ -52,7 +42,7 @@ class VectorModeCoefficients:
 
 
 def bell_coefficients(label: BellModeLabel) -> VectorModeCoefficients:
-    return VectorModeCoefficients(*BELL_COEFFICIENTS[label])
+    return VectorModeCoefficients(*BELL_MODES[label])
 
 
 def eval_hg_mode(orientation: str, x, y):

@@ -1,7 +1,11 @@
 """Mode-partition change between separable (Hh, Hv, Vh, Vv) and Bell modes.
 
-Bell modes are materialized directly in the separable-partition Fock basis;
-the partition matrix encodes how their ladder operators decompose.
+``BELL_MODES`` is the one table of the four Bell modes as unit vectors on the
+separable modes: Psi+ = (1, 0, 0, 1)/sqrt2 (radial, field prop. to (x, y)),
+Psi- = (1, 0, 0, -1)/sqrt2, Phi+ = (0, 1, 1, 0)/sqrt2 and
+Phi- = (0, -1, 1, 0)/sqrt2 (azimuthal, field prop. to (-y, x), as
+``mode-pattern`` prints it). Bell modes are materialized directly in the
+separable-partition Fock basis; the partition matrix stacks the table's rows.
 """
 
 from __future__ import annotations
@@ -23,41 +27,39 @@ class BellModeLabel(enum.Enum):
     PHI_MINUS = "phi_minus"
 
 
-#: Constituent separable-mode pair and relative sign for each Bell mode.
-#: The minus sign attaches to the second-listed constituent.
-BELL_CONSTITUENTS = {
-    BellModeLabel.PSI_PLUS: (ModeIndex.HH, ModeIndex.VV, +1),
-    BellModeLabel.PSI_MINUS: (ModeIndex.HH, ModeIndex.VV, -1),
-    BellModeLabel.PHI_PLUS: (ModeIndex.HV, ModeIndex.VH, +1),
-    BellModeLabel.PHI_MINUS: (ModeIndex.HV, ModeIndex.VH, -1),
+_S = 1.0 / math.sqrt(2.0)
+
+#: Each Bell mode as a unit vector (c_Hh, c_Hv, c_Vh, c_Vv) on the separable modes.
+BELL_MODES = {
+    BellModeLabel.PSI_PLUS: (_S, 0.0, 0.0, _S),
+    BellModeLabel.PSI_MINUS: (_S, 0.0, 0.0, -_S),
+    BellModeLabel.PHI_PLUS: (0.0, _S, _S, 0.0),
+    BellModeLabel.PHI_MINUS: (0.0, -_S, _S, 0.0),
 }
 
 
 def bell_partition_matrix() -> np.ndarray:
     """Orthogonal matrix taking separable-mode annihilators to Bell-mode ones.
 
-    Rows are ordered (Psi+, Psi-, Phi+, Phi-), columns (Hh, Hv, Vh, Vv).
+    Rows are the ``BELL_MODES`` vectors (Psi+, Psi-, Phi+, Phi-), columns (Hh, Hv, Vh, Vv).
     """
-    s = 1.0 / math.sqrt(2.0)
-    return np.array(
-        [
-            [s, 0.0, 0.0, s],
-            [s, 0.0, 0.0, -s],
-            [0.0, s, s, 0.0],
-            [0.0, s, -s, 0.0],
-        ]
-    )
+    return np.array([BELL_MODES[label] for label in BellModeLabel])
+
+
+def _constituents(label: BellModeLabel) -> list[tuple[ModeIndex, float]]:
+    """The two separable modes of a Bell mode, each with the sign of its coefficient."""
+    return [(ModeIndex(j), math.copysign(1.0, c)) for j, c in enumerate(BELL_MODES[label]) if c]
 
 
 def fock_on_bell_mode(n_photons: int, label: BellModeLabel, basis: BasisConfig) -> PureState:
     """N-photon Fock state on one Bell mode, expanded in the separable basis.
 
     The expansion is binomial: sqrt(N!/2^N / (n! (N-n)!)) on |n, N-n> over the
-    constituent pair, with sign (-1)^(N-n) for the minus-labelled modes.
+    constituent pair, times s_a^n s_b^(N-n) for the pair's coefficient signs.
     """
     if n_photons < 0:
         raise SimulationError("photon number must be nonnegative")
-    ma, mb, sign = BELL_CONSTITUENTS[label]
+    (ma, sa), (mb, sb) = _constituents(label)
     if basis.cutoffs[ma] < n_photons or basis.cutoffs[mb] < n_photons:
         raise SimulationError(
             f"cutoffs {basis.cutoffs} too small for {n_photons} photons on modes "
@@ -68,11 +70,9 @@ def fock_on_bell_mode(n_photons: int, label: BellModeLabel, basis: BasisConfig) 
     for n in range(n_photons + 1):
         # Exact integer ratio, rounded once; floats overflow for N > ~170.
         coeff = math.sqrt(math.comb(n_photons, n) / 2**n_photons)
-        if sign < 0 and (n_photons - n) % 2 == 1:
-            coeff = -coeff
         idx[ma] = n
         idx[mb] = n_photons - n
-        amps[tuple(idx)] = coeff
+        amps[tuple(idx)] = coeff * sa**n * sb ** (n_photons - n)
     return PureState(basis, amps)
 
 
@@ -106,8 +106,8 @@ def coherent_on_bell_mode(
     Since the constituent annihilators commute, the Bell-mode displacement
     factorizes into displacements by +-u/sqrt(2) on the pair.
     """
-    ma, mb, sign = BELL_CONSTITUENTS[label]
     amp = u / math.sqrt(2.0)
     state = fock.vacuum(basis)
-    state = fock.displace(state, ma, amp, eps)
-    return fock.displace(state, mb, sign * amp, eps)
+    for mode, sign in _constituents(label):
+        state = fock.displace(state, mode, sign * amp, eps)
+    return state

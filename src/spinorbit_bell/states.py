@@ -31,7 +31,7 @@ import numpy as np
 from . import fock
 from .errors import SimulationError, TruncationError
 from .fock import BasisConfig, ModeIndex, Moments, PureState, StateEnsemble
-from .partitions import BellModeLabel, fock_on_bell_mode
+from .partitions import BELL_MODES, BellModeLabel, fock_on_bell_mode
 
 #: Headroom on the Fock oracle's source cutoffs: epsilon bounds the tail's
 #: probability, but the moments weight it by n and n^2. Without headroom the
@@ -79,16 +79,17 @@ class StateSpec:
             object.__setattr__(self, "n", int(self.n))
         for name in ("p", "reflectivity"):
             value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise SimulationError(f"{name}={value} outside [0, 1]")
+            if value is not None and (isinstance(value, bool) or not 0.0 <= value <= 1.0):
+                raise SimulationError(f"{name}={value!r} is not a number in [0, 1]")
         for name in ("u", "zeta", "phi"):
             value = getattr(self, name)
             if value is not None and not cmath.isfinite(value):
                 raise SimulationError(f"{name}={value} is not finite")
         if not 0.0 < self.epsilon <= 1e-3:
             raise SimulationError(f"epsilon {self.epsilon} outside (0, 1e-3]")
-        if self.phase_points < 5:
-            raise SimulationError("phase_points must be at least 5")
+        # A bool is an Integral, but True and False are both below 5.
+        if not isinstance(self.phase_points, numbers.Integral) or self.phase_points < 5:
+            raise SimulationError(f"phase_points={self.phase_points!r} is not an integer >= 5")
 
 
 def _source_basis(source_cutoff: int) -> BasisConfig:
@@ -132,15 +133,6 @@ def binomial_weights(n_photons: int) -> list[float]:
     return [math.comb(n_photons, n) / 2**n_photons for n in range(n_photons + 1)]
 
 
-def _number_state(basis: BasisConfig, n_hh: int, n_vv: int) -> PureState:
-    amps = np.zeros(basis.dims, dtype=np.complex128)
-    idx = [0] * basis.n_modes
-    idx[ModeIndex.HH] = n_hh
-    idx[ModeIndex.VV] = n_vv
-    amps[tuple(idx)] = 1.0
-    return PureState(basis, amps)
-
-
 def mixed_fock(n_photons: int, basis: BasisConfig | None = None) -> StateEnsemble:
     """Fully dephased N-photon state: binomial mixture of |n, N-n> splits."""
     if basis is None:
@@ -148,11 +140,11 @@ def mixed_fock(n_photons: int, basis: BasisConfig | None = None) -> StateEnsembl
     if basis.cutoffs[ModeIndex.HH] < n_photons or basis.cutoffs[ModeIndex.VV] < n_photons:
         raise SimulationError("cutoffs too small for the requested photon number")
     _check_ensemble_size(n_photons + 1, basis)
-    weights = binomial_weights(n_photons)
-    members = tuple(
-        (w, _number_state(basis, n, n_photons - n)) for n, w in enumerate(weights)
-    )
-    return StateEnsemble(members)
+    n = np.arange(n_photons + 1)
+    pairs = np.zeros((n.size, basis.dims[ModeIndex.HH], basis.dims[ModeIndex.VV]))
+    pairs[n, n, n_photons - n] = 1.0
+    members = zip(binomial_weights(n_photons), pairs)
+    return StateEnsemble(tuple((w, _on_source_modes(basis, pair)) for w, pair in members))
 
 
 def werner_fock(
@@ -271,7 +263,7 @@ def two_mode_squeezed(
 
 
 #: The Psi+ mode vector (e_Hh + e_Vv)/sqrt(2) on (Hh, Hv, Vh, Vv).
-_PSI_PLUS = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+_PSI_PLUS = np.array(BELL_MODES[BellModeLabel.PSI_PLUS])
 
 
 def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:

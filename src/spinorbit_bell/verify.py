@@ -151,9 +151,7 @@ def _closed_form_checks(rng, catalog: _Catalog) -> list[CheckResult]:
             s = Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
             pt = analysis.noise_point(ensemble, s)
             mean_ref, var_ref = analysis.closed_form(spec, s)
-            worst = max(worst, abs(pt.mean_ratio - mean_ref))
-            if var_ref is not None:
-                worst = max(worst, abs(pt.var_ratio - var_ref))
+            worst = max(worst, abs(pt.mean_ratio - mean_ref), abs(pt.var_ratio - var_ref))
         out.append(_check(f"closed-form agreement: {name}", worst, 1e-8))
         ref_itot = analysis.closed_form_itot(spec)
         out.append(

@@ -101,10 +101,16 @@ class TestClosedForm:
         assert var == pytest.approx(itot + 2.0)
         assert var == pytest.approx(4.762195691083631, abs=1e-12)
 
-    def test_mixed_coherent_var_only_at_extremes(self):
-        spec = StateSpec(Family.MIXED_COHERENT, u=1.0, reflectivity=0.5)
-        _, var = analysis.closed_form(spec, Settings(0.1, 0.2))
-        assert var is None
+    def test_mixed_coherent_var_against_fock_oracle(self):
+        # Strictly between the extremes R = 0 and R = 1, with phi != 0.
+        for u, reflectivity, phi in [(1.0, 0.5, 0.7), (1.2 - 0.4j, 0.25, -2.0), (2j, 0.9, 1.0)]:
+            spec = StateSpec(Family.MIXED_COHERENT, u=u, reflectivity=reflectivity, phi=phi)
+            ensemble = states.fock_ensemble(spec)
+            for s in (Settings(0.1, 0.2), Settings(1.3, 0.4), Settings(2.6, 2.9)):
+                pt = analysis.noise_point(ensemble, s)
+                mean_ref, var_ref = analysis.closed_form(spec, s)
+                assert pt.mean_ratio == pytest.approx(mean_ref, abs=1e-9)
+                assert pt.var_ratio == pytest.approx(var_ref, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_oracle_agreement_random_settings(self, seed):
@@ -118,6 +124,11 @@ class TestClosedForm:
             (
                 states.mixed_coherent(1.5, 0.0),
                 StateSpec(Family.MIXED_COHERENT, u=1.5, reflectivity=0.0),
+                1e-8,
+            ),
+            (
+                states.mixed_coherent(1.5, 0.4, 1.1),
+                StateSpec(Family.MIXED_COHERENT, u=1.5, reflectivity=0.4, phi=1.1),
                 1e-8,
             ),
             (

@@ -431,11 +431,20 @@ _BEYOND_THE_ORACLE = [
         "{family: mixed_coherent, u: 1.0e+4, reflectivity: 0}",
         StateSpec(Family.MIXED_COHERENT, u=1e4, reflectivity=0.0),
     ),
+    (
+        "{family: mixed_coherent, u: [3.0e+5, -1.0e+5], reflectivity: 0.25, phi: 0.3}",
+        StateSpec(Family.MIXED_COHERENT, u=3e5 - 1e5j, reflectivity=0.25, phi=0.3),
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "state,spec", _BEYOND_THE_ORACLE, ids=[spec.family.value for _, spec in _BEYOND_THE_ORACLE]
+    "state,spec",
+    _BEYOND_THE_ORACLE,
+    ids=[
+        spec.family.value + (f"_R={spec.reflectivity}" if spec.reflectivity else "")
+        for _, spec in _BEYOND_THE_ORACLE
+    ],
 )
 def test_beyond_the_oracle_caps(tmp_path, capsys, state, spec):
     rc, out, err = _chsh(tmp_path, capsys, f"state: {state}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spinorbit_bell import modes
+from spinorbit_bell import modes, partitions
 from spinorbit_bell.errors import SimulationError
 from spinorbit_bell.modes import VectorModeCoefficients
 from spinorbit_bell.partitions import BellModeLabel
@@ -17,7 +17,7 @@ _NORM = math.sqrt(2.0 / math.pi)
 
 def pointwise_field(label, x, y):
     """(E_H, E_V) of a Bell mode at one point, in Python floats, term by term."""
-    a_hh, a_hv, a_vh, a_vv = modes.BELL_COEFFICIENTS[label]
+    a_hh, a_hv, a_vh, a_vv = partitions.BELL_MODES[label]
     envelope = float(np.exp(-(x * x + y * y) / 2.0))
     psi_h, psi_v = _NORM * x * envelope, _NORM * y * envelope
     return a_hh * psi_h + a_hv * psi_v, a_vh * psi_h + a_vv * psi_v

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinorbit_bell import fock, partitions
+from spinorbit_bell import fock, modes, partitions
 from spinorbit_bell.errors import SimulationError
 from spinorbit_bell.fock import BasisConfig, ModeIndex, StateEnsemble
 from spinorbit_bell.partitions import BellModeLabel
@@ -15,7 +15,34 @@ def test_partition_matrix_rows():
     assert np.allclose(mat[0], [s, 0, 0, s])
     assert np.allclose(mat[1], [s, 0, 0, -s])
     assert np.allclose(mat[2], [0, s, s, 0])
-    assert np.allclose(mat[3], [0, s, -s, 0])
+    assert np.allclose(mat[3], [0, -s, s, 0])
+
+
+@pytest.mark.parametrize("label", list(BellModeLabel))
+def test_partition_rows_are_the_mode_coefficients(label):
+    row = partitions.bell_partition_matrix()[list(BellModeLabel).index(label)]
+    assert np.array_equal(row, modes.bell_coefficients(label).as_array())
+
+
+def _on_constituents(label, cutoff):
+    """A basis with ``cutoff`` on the label's two constituent modes and 0 elsewhere."""
+    return BasisConfig(tuple(cutoff if c else 0 for c in partitions.BELL_MODES[label]))
+
+
+@pytest.mark.parametrize("label", list(BellModeLabel))
+def test_fock_and_coherent_g_is_the_mode_projector(label):
+    # G_jk = <a+_j a_k> of any state on the mode v alone is (its photon number) v v^T.
+    v = np.array(partitions.BELL_MODES[label])
+    n = 3
+    g, _ = fock.moments(
+        StateEnsemble.pure(partitions.fock_on_bell_mode(n, label, _on_constituents(label, n)))
+    )
+    assert np.allclose(g, n * np.outer(v, v), atol=1e-12)
+    u = 1.2 - 0.5j
+    g, _ = fock.moments(
+        StateEnsemble.pure(partitions.coherent_on_bell_mode(u, label, _on_constituents(label, 30)))
+    )
+    assert np.allclose(g, abs(u) ** 2 * np.outer(v, v), atol=1e-9)
 
 
 def test_partition_matrix_orthogonal():
@@ -60,8 +87,8 @@ class TestFockOnBellMode:
     def test_phi_modes_use_cross_pair(self):
         basis = BasisConfig((1, 1, 1, 1))
         s = partitions.fock_on_bell_mode(1, BellModeLabel.PHI_MINUS, basis)
-        assert s.amplitudes[0, 1, 0, 0] == pytest.approx(1 / math.sqrt(2))
-        assert s.amplitudes[0, 0, 1, 0] == pytest.approx(-1 / math.sqrt(2))
+        assert s.amplitudes[0, 1, 0, 0] == pytest.approx(-1 / math.sqrt(2))
+        assert s.amplitudes[0, 0, 1, 0] == pytest.approx(1 / math.sqrt(2))
 
     def test_normalized_with_binomial_marginal(self):
         basis = BasisConfig((6, 1, 1, 6))

@@ -257,6 +257,15 @@ class TestSpecValidation:
             {"family": Family.PURE_COHERENT, "u": complex(0.0, math.nan)},
             {"family": Family.TWO_MODE_SQUEEZED_VACUUM, "zeta": math.inf},
             {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": 0.5, "phi": math.nan},
+            {"family": Family.WERNER_FOCK, "n": 1, "p": True},
+            {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": False},
+            {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": 0.5, "phase_points": 5.5},
+            {
+                "family": Family.MIXED_COHERENT,
+                "u": 1.0,
+                "reflectivity": 0.5,
+                "phase_points": np.float64(6.0),
+            },
         ],
         ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items() if k != "family"),
     )
@@ -344,7 +353,7 @@ class TestEnsembleGuard:
         def no_member(*args):
             raise AssertionError("a member was built before the guard")
 
-        for name in ("_number_state", "_coherent_pair", "fock_on_bell_mode"):
+        for name in ("_on_source_modes", "fock_on_bell_mode"):
             monkeypatch.setattr(states, name, no_member)
         monkeypatch.setattr(states, "MAX_ENSEMBLE_AMPLITUDES", members * 35)
         with pytest.raises(TruncationError) as err:
