@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimulationError
 from .fock import OneBodyOperator
 
 
@@ -30,7 +31,7 @@ class Settings:
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("settings must be finite")
+            raise SimulationError("settings must be finite")
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class ChshSettings:
         if not all(
             math.isfinite(x) for x in (self.alpha, self.alpha_prime, self.beta, self.beta_prime)
         ):
-            raise ValueError("settings must be finite")
+            raise SimulationError("settings must be finite")
 
     def pairs(self) -> tuple[Settings, Settings, Settings, Settings]:
         """Setting pairs in the order (a,b), (a,b'), (a',b), (a',b')."""

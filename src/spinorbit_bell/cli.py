@@ -186,31 +186,29 @@ _STATE_NUMBERS = {
     "n": (0, math.inf, True, False),
     "p": (0.0, 1.0, False, False),
     "reflectivity": (0.0, 1.0, False, False),
-    "phase_points": (5, math.inf, True, False),
-    "epsilon": (0.0, 1e-3, False, True),
 }
 
 _STATE_KEYS = {"family", "u", "phi", "zeta", *_STATE_NUMBERS}
 
 
-def _parse_state(doc, field: str = "state") -> StateSpec:
-    doc = _section(doc, field, ("family",), _STATE_KEYS)
-    family = _member(Family, doc, field, "family")
-    _section(doc, field, states.FAMILIES[family].required, _STATE_KEYS)
+def _parse_state(doc) -> StateSpec:
+    doc = _section(doc, "state", ("family",), _STATE_KEYS)
+    family = _member(Family, doc, "state", "family")
+    _section(doc, "state", states.FAMILIES[family].required, _STATE_KEYS)
     kwargs = {
-        key: _number(doc[key], f"{field}.{key}", *bounds)
+        key: _number(doc[key], f"state.{key}", *bounds)
         for key, bounds in _STATE_NUMBERS.items()
         if key in doc
     }
     for key in ("u", "zeta"):
         if key in doc:
-            kwargs[key] = _parse_complex(doc[key], f"{field}.{key}")
+            kwargs[key] = _parse_complex(doc[key], f"state.{key}")
     if "phi" in doc:
-        kwargs["phi"] = parse_angle(doc["phi"], f"{field}.phi")
+        kwargs["phi"] = parse_angle(doc["phi"], "state.phi")
     try:
         return StateSpec(family, **kwargs)
     except SimulationError as exc:
-        raise ConfigError(field, str(exc)) from None
+        raise ConfigError("state", str(exc)) from None
 
 
 def _parse_chsh_settings(doc) -> ChshSettings:

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import SimulationError, TruncationError
 
+#: The Fock oracle's one truncation tolerance: the probability a state may
+#: keep beyond its source cutoffs, which the room checks and builders enforce.
 DEFAULT_EPS = 1e-10
 
 #: Hard cap on state-vector length; guards against accidental huge bases.
@@ -437,12 +439,12 @@ def coherent_mean(u: complex) -> float:
         return math.inf
 
 
-def check_displacement_room(basis: BasisConfig, mode: int, u: complex, eps: float) -> None:
-    """Raise TruncationError unless a displacement by u fits on the mode's cutoff."""
+def check_displacement_room(basis: BasisConfig, mode: int, u: complex) -> None:
+    """Raise TruncationError unless a displacement by u fits the mode's cutoff at DEFAULT_EPS."""
     axis = int(mode)
     cutoff = basis.cutoffs[axis]
     mean = coherent_mean(u)
-    needed = poisson_tail_cutoff(mean, eps)
+    needed = poisson_tail_cutoff(mean, DEFAULT_EPS)
     if needed > cutoff:
         raise TruncationError(
             f"displacement |u|^2={mean:.4g} needs cutoff {needed} on mode "
@@ -466,7 +468,7 @@ def _quadrature_eigh(d: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def displace(state: PureState, mode: int, u: complex, eps: float = DEFAULT_EPS) -> PureState:
+def displace(state: PureState, mode: int, u: complex) -> PureState:
     """Apply the displacement exp(u a+ - u* a) on one mode.
 
     Exponentiates the generator truncated to the mode subspace. With
@@ -477,7 +479,7 @@ def displace(state: PureState, mode: int, u: complex, eps: float = DEFAULT_EPS) 
     builds in ``states``.
     """
     axis = int(mode)
-    check_displacement_room(state.basis, axis, u, eps)
+    check_displacement_room(state.basis, axis, u)
     if u == 0:
         return state
     d = state.basis.dims[axis]
@@ -507,12 +509,10 @@ def tmsv_tail_cutoff(r: float, eps: float) -> int:
     return n
 
 
-def check_squeezing_room(
-    basis: BasisConfig, mode_a: int, mode_b: int, zeta: complex, eps: float
-) -> None:
-    """Raise TruncationError unless squeezing by zeta fits on both cutoffs."""
+def check_squeezing_room(basis: BasisConfig, mode_a: int, mode_b: int, zeta: complex) -> None:
+    """Raise TruncationError unless squeezing by zeta fits on both cutoffs at DEFAULT_EPS."""
     r = abs(zeta) / 2.0
-    needed = tmsv_tail_cutoff(r, eps)
+    needed = tmsv_tail_cutoff(r, DEFAULT_EPS)
     min_cut = min(basis.cutoffs[int(mode_a)], basis.cutoffs[int(mode_b)])
     if needed > min_cut:
         raise TruncationError(
@@ -532,13 +532,7 @@ def _distinct_finite_pair(mode_a: int, mode_b: int, what: str, *strengths: compl
     return ia, ib
 
 
-def two_mode_squeeze(
-    state: PureState,
-    mode_a: int,
-    mode_b: int,
-    zeta: complex,
-    eps: float = DEFAULT_EPS,
-) -> PureState:
+def two_mode_squeeze(state: PureState, mode_a: int, mode_b: int, zeta: complex) -> PureState:
     """Apply exp((zeta* a_A a_B - zeta a+_A a+_B)/2) on a mode pair.
 
     Note the generator carries zeta/2, so the effective squeezing strength
@@ -546,7 +540,7 @@ def two_mode_squeeze(
     build in ``states``.
     """
     ia, ib = _distinct_finite_pair(mode_a, mode_b, "two-mode squeezing", zeta)
-    check_squeezing_room(state.basis, ia, ib, zeta, eps)
+    check_squeezing_room(state.basis, ia, ib, zeta)
     if zeta == 0:
         return state
     da, db = state.basis.dims[ia], state.basis.dims[ib]

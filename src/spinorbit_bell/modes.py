@@ -34,8 +34,8 @@ class VectorModeCoefficients:
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.as_array()) ** 2))
 
-    def validate_normalized(self, tol: float = 1e-9) -> None:
-        if abs(self.norm_sq() - 1.0) > tol:
+    def validate_normalized(self) -> None:
+        if abs(self.norm_sq() - 1.0) > 1e-9:
             raise SimulationError(
                 f"coefficients have squared norm {self.norm_sq()}, expected 1"
             )

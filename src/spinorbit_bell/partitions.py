@@ -95,12 +95,7 @@ def verify_partition_identity(n_photons: int, basis: BasisConfig) -> float:
     return float(np.linalg.norm(built.amplitudes - reference.amplitudes))
 
 
-def coherent_on_bell_mode(
-    u: complex,
-    label: BellModeLabel,
-    basis: BasisConfig,
-    eps: float = fock.DEFAULT_EPS,
-) -> PureState:
+def coherent_on_bell_mode(u: complex, label: BellModeLabel, basis: BasisConfig) -> PureState:
     """Coherent state on one Bell mode as a product of separable displacements.
 
     Since the constituent annihilators commute, the Bell-mode displacement
@@ -109,5 +104,5 @@ def coherent_on_bell_mode(
     amp = u / math.sqrt(2.0)
     state = fock.vacuum(basis)
     for mode, sign in _constituents(label):
-        state = fock.displace(state, mode, sign * amp, eps)
+        state = fock.displace(state, mode, sign * amp)
     return state

@@ -4,9 +4,10 @@
 closed form, in constant time and memory whatever the photon number,
 amplitude or squeezing. The Fock builders (``entangled_fock`` ...
 ``two_mode_squeezed``, reached from a StateSpec through ``fock_ensemble``)
-are the oracle that ``verify`` and the tests check the closed forms against;
-``epsilon``, ``phase_points``, ``fock.MAX_DIMENSION`` and
-``MAX_ENSEMBLE_AMPLITUDES`` govern only them.
+are the oracle that ``verify`` and the tests check the closed forms against.
+They truncate at the one tail tolerance ``fock.DEFAULT_EPS``, average the
+mixed coherent state over ``DEFAULT_PHASE_POINTS`` phases, and are guarded by
+``fock.MAX_DIMENSION`` and ``MAX_ENSEMBLE_AMPLITUDES``.
 
 The Gaussian Fock builders (coherent, mixed coherent, two-mode squeezed) use
 the closed-form number-basis amplitudes, truncated at the cutoffs and
@@ -33,7 +34,7 @@ from .errors import SimulationError, TruncationError
 from .fock import BasisConfig, ModeIndex, Moments, PureState, StateEnsemble
 from .partitions import BELL_MODES, BellModeLabel, fock_on_bell_mode
 
-#: Headroom on the Fock oracle's source cutoffs: epsilon bounds the tail's
+#: Headroom on the Fock oracle's source cutoffs: DEFAULT_EPS bounds the tail's
 #: probability, but the moments weight it by n and n^2. Without headroom the
 #: oracle misses the closed forms by 2.5e-8 of itot, over the `verify` bounds.
 SOURCE_HEADROOM = 2
@@ -57,6 +58,14 @@ class Family(enum.Enum):
     TWO_MODE_SQUEEZED_VACUUM = "two_mode_squeezed_vacuum"
 
 
+def _is_finite(value, kind: type) -> bool:
+    """Whether value is a finite number of the kind (Real, Complex), and not a bool."""
+    try:
+        return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """Family plus its parameters; the unit of CLI configuration."""
@@ -67,9 +76,7 @@ class StateSpec:
     u: complex | None = None
     reflectivity: float | None = None
     phi: float = 0.0
-    phase_points: int = DEFAULT_PHASE_POINTS
     zeta: complex | None = None
-    epsilon: float = fock.DEFAULT_EPS
 
     def __post_init__(self):
         if self.n is not None:
@@ -79,17 +86,14 @@ class StateSpec:
             object.__setattr__(self, "n", int(self.n))
         for name in ("p", "reflectivity"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not 0.0 <= value <= 1.0):
+            if value is not None and not (_is_finite(value, numbers.Real) and 0.0 <= value <= 1.0):
                 raise SimulationError(f"{name}={value!r} is not a number in [0, 1]")
-        for name in ("u", "zeta", "phi"):
+        if not _is_finite(self.phi, numbers.Real):
+            raise SimulationError(f"phi={self.phi!r} is not a finite real number")
+        for name in ("u", "zeta"):
             value = getattr(self, name)
-            if value is not None and not cmath.isfinite(value):
-                raise SimulationError(f"{name}={value} is not finite")
-        if not 0.0 < self.epsilon <= 1e-3:
-            raise SimulationError(f"epsilon {self.epsilon} outside (0, 1e-3]")
-        # A bool is an Integral, but True and False are both below 5.
-        if not isinstance(self.phase_points, numbers.Integral) or self.phase_points < 5:
-            raise SimulationError(f"phase_points={self.phase_points!r} is not an integer >= 5")
+            if value is not None and not _is_finite(value, numbers.Complex):
+                raise SimulationError(f"{name}={value!r} is not a finite complex number")
 
 
 def _source_basis(source_cutoff: int) -> BasisConfig:
@@ -104,10 +108,10 @@ def coherent_basis(max_mean_n: float, eps: float) -> BasisConfig:
     return _source_basis(fock.poisson_tail_cutoff(max_mean_n, eps) + SOURCE_HEADROOM)
 
 
-def squeezed_basis(zeta: complex, eps: float) -> BasisConfig:
+def squeezed_basis(zeta: complex) -> BasisConfig:
     # Second moments weight the thermal tail by n^2, so the cutoff is chosen
-    # against a much smaller tail mass than the declared tolerance.
-    tail = eps * 1e-4
+    # against a much smaller tail mass than DEFAULT_EPS.
+    tail = fock.DEFAULT_EPS * 1e-4
     return _source_basis(fock.tmsv_tail_cutoff(abs(zeta) / 2.0, tail) + SOURCE_HEADROOM)
 
 
@@ -196,15 +200,13 @@ def _coherent_pair(basis: BasisConfig, u_hh: complex, u_vv: complex) -> PureStat
     return _on_source_modes(basis, np.multiply.outer(column_hh, column_vv))
 
 
-def pure_coherent(
-    u: complex, basis: BasisConfig | None = None, eps: float = fock.DEFAULT_EPS
-) -> StateEnsemble:
+def pure_coherent(u: complex, basis: BasisConfig | None = None) -> StateEnsemble:
     """Coherent state on the Psi+ mode: displacements u/sqrt(2) on Hh and Vv."""
     if basis is None:
-        basis = coherent_basis(fock.coherent_mean(u) / 2.0, eps)
+        basis = coherent_basis(fock.coherent_mean(u) / 2.0, fock.DEFAULT_EPS)
     amp = u / math.sqrt(2.0)
-    fock.check_displacement_room(basis, ModeIndex.HH, amp, eps)
-    fock.check_displacement_room(basis, ModeIndex.VV, amp, eps)
+    fock.check_displacement_room(basis, ModeIndex.HH, amp)
+    fock.check_displacement_room(basis, ModeIndex.VV, amp)
     return StateEnsemble.pure(_coherent_pair(basis, amp, amp))
 
 
@@ -214,7 +216,6 @@ def mixed_coherent(
     phi: float = 0.0,
     phase_points: int = DEFAULT_PHASE_POINTS,
     basis: BasisConfig | None = None,
-    eps: float = fock.DEFAULT_EPS,
 ) -> StateEnsemble:
     """Coherent Hh beam paired with a phase-contaminated coherent Vv beam.
 
@@ -224,26 +225,25 @@ def mixed_coherent(
     """
     if not 0.0 <= reflectivity <= 1.0:
         raise SimulationError(f"reflectivity={reflectivity} outside [0, 1]")
-    if phase_points < 5:
-        raise SimulationError("phase_points must be at least 5")
+    # A bool is an Integral, but True and False are both below 5.
+    if not isinstance(phase_points, numbers.Integral) or phase_points < 5:
+        raise SimulationError(f"phase_points={phase_points!r} is not an integer >= 5")
     root_r = math.sqrt(reflectivity)
     root_t = math.sqrt(1.0 - reflectivity)
     if basis is None:
         max_mean = max(fock.coherent_mean(u), fock.coherent_mean(abs(u) * (root_r + root_t)))
-        basis = coherent_basis(max_mean, eps)
-    fock.check_displacement_room(basis, ModeIndex.HH, u, eps)
+        basis = coherent_basis(max_mean, fock.DEFAULT_EPS)
+    fock.check_displacement_room(basis, ModeIndex.HH, u)
     _check_ensemble_size(phase_points, basis)
     shift = root_r * cmath.exp(1j * phi)
     turns = (cmath.exp(2j * math.pi * k / phase_points) for k in range(phase_points))
     u_vv = [u * (shift + root_t * turn) for turn in turns]
     # The Poisson tail grows with the mean, so the largest displacement needs the most room.
-    fock.check_displacement_room(basis, ModeIndex.VV, max(u_vv, key=abs), eps)
+    fock.check_displacement_room(basis, ModeIndex.VV, max(u_vv, key=abs))
     return StateEnsemble(tuple((1.0 / phase_points, _coherent_pair(basis, u, v)) for v in u_vv))
 
 
-def two_mode_squeezed(
-    zeta: complex, basis: BasisConfig | None = None, eps: float = fock.DEFAULT_EPS
-) -> StateEnsemble:
+def two_mode_squeezed(zeta: complex, basis: BasisConfig | None = None) -> StateEnsemble:
     """Two-mode squeezed vacuum on (Hh, Vv) with squeezing strength |zeta|/2.
 
     The state exp((zeta* a b - zeta a+ b+)/2)|0, 0> in closed form:
@@ -251,8 +251,8 @@ def two_mode_squeezed(
     theta = arg zeta.
     """
     if basis is None:
-        basis = squeezed_basis(zeta, eps)
-    fock.check_squeezing_room(basis, ModeIndex.HH, ModeIndex.VV, zeta, eps)
+        basis = squeezed_basis(zeta)
+    fock.check_squeezing_room(basis, ModeIndex.HH, ModeIndex.VV, zeta)
     r = abs(zeta) / 2.0
     dims = (basis.dims[ModeIndex.HH], basis.dims[ModeIndex.VV])
     n = np.arange(min(dims))
@@ -309,7 +309,7 @@ def _coherent_moments(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mixed_coherent_moments(
-    u: complex, reflectivity: float, phi: float = 0.0
+    u: complex, reflectivity: float, phi: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The phase average of coherent states with amplitudes m + e^{i theta} f.
 
@@ -373,19 +373,17 @@ FAMILIES = {
     ),
     Family.PURE_COHERENT: FamilyRoutes(
         ("u",),
-        lambda s, basis: pure_coherent(s.u, basis, s.epsilon),
+        lambda s, basis: pure_coherent(s.u, basis),
         lambda s: _coherent_moments(s.u * _PSI_PLUS),
     ),
     Family.MIXED_COHERENT: FamilyRoutes(
         ("u", "reflectivity"),
-        lambda s, basis: mixed_coherent(
-            s.u, s.reflectivity, s.phi, s.phase_points, basis, s.epsilon
-        ),
+        lambda s, basis: mixed_coherent(s.u, s.reflectivity, s.phi, basis=basis),
         lambda s: _mixed_coherent_moments(s.u, s.reflectivity, s.phi),
     ),
     Family.TWO_MODE_SQUEEZED_VACUUM: FamilyRoutes(
         ("zeta",),
-        lambda s, basis: two_mode_squeezed(s.zeta, basis, s.epsilon),
+        lambda s, basis: two_mode_squeezed(s.zeta, basis),
         lambda s: _two_mode_squeezed_moments(s.zeta),
     ),
 }

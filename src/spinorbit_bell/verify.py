@@ -36,7 +36,10 @@ def _check(name: str, value: float, bound: float) -> CheckResult:
 
 
 def _mode_power_check() -> CheckResult:
-    grid, step = np.linspace(-6.0, 6.0, 601, retstep=True)
+    # On this smooth integrand, about 5e-15 at |x| = 6, the trapezoid rule is at
+    # round-off long before 601 points per axis: 61 leave a residual of 2.2e-15,
+    # 121 leave 1.4e-15 and 601 leave 1.6e-15. So 121 points, at 1/25 the cost.
+    grid, step = np.linspace(-6.0, 6.0, 121, retstep=True)
     psi = modes.eval_hg_mode("h", grid[None, :], grid[:, None])
     # The trapezoid rule on each axis as one weight vector.
     weights = step * np.concatenate(([0.5], np.ones(grid.size - 2), [0.5]))
@@ -282,7 +285,7 @@ def _moment_core_check(rng) -> CheckResult:
         amps[:3, :3, :3, :3] = rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4)
         state = fock.PureState(basis, amps / np.linalg.norm(amps))
         ensembles.append(StateEnsemble.pure(state))
-    squeezed = states.squeezed_basis(1.0, fock.DEFAULT_EPS)
+    squeezed = states.squeezed_basis(1.0)
     ensembles.append(states.werner_fock(2, 0.4, _measurement_room(states.fock_basis(2))))
     ensembles.append(states.two_mode_squeezed(1.0, _measurement_room(squeezed)))
     worst = 0.0

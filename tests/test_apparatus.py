@@ -5,6 +5,7 @@ import pytest
 
 from spinorbit_bell import apparatus, fock, partitions, verify
 from spinorbit_bell.apparatus import ChshSettings, Settings
+from spinorbit_bell.errors import SimulationError
 from spinorbit_bell.fock import BasisConfig, StateEnsemble
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -116,7 +117,7 @@ def test_eight_mode_vacuum_port_reduction():
 
 
 def test_settings_must_be_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         Settings(float("nan"), 0.0)
 
 
@@ -125,5 +126,5 @@ def test_settings_must_be_finite():
 def test_chsh_settings_must_be_finite(field, value):
     angles = dict(alpha=0.1, alpha_prime=0.2, beta=0.3, beta_prime=0.4)
     angles[field] = value
-    with pytest.raises(ValueError):
+    with pytest.raises(SimulationError):
         ChshSettings(**angles)

@@ -44,7 +44,6 @@ class TestParseConfig:
         assert cfg.state.family is Family.ENTANGLED_FOCK
         assert cfg.chsh_settings.alpha == pytest.approx(math.pi / 8)
         assert cfg.format == "json"
-        assert cfg.state.epsilon == 1e-10
 
     def test_range_error_names_field(self):
         with pytest.raises(ConfigError) as err:
@@ -270,13 +269,29 @@ def _chsh(tmp_path, capsys, text):
 
 def test_yaml_1_2_floats(tmp_path, capsys):
     # YAML 1.1 reads 1e-12 (no dot, unsigned exponent) as a string.
-    plain = _chsh(tmp_path, capsys, "state: {family: pure_coherent, u: 1.0, epsilon: 1e-12}")
-    dotted = _chsh(tmp_path, capsys, "state: {family: pure_coherent, u: 1.0, epsilon: 1.0e-12}")
+    state = "state: {family: mixed_coherent, u: 1.0, reflectivity: %s}"
+    plain = _chsh(tmp_path, capsys, state % "1e-12")
+    dotted = _chsh(tmp_path, capsys, state % "1.0e-12")
     assert plain[0] == 0
     assert plain == dotted
     cfg = cli.parse_config("state: {family: mixed_fock, n: 2, p: 1e-1}", "chsh")
     assert cfg.state.n == 2 and isinstance(cfg.state.n, int)
     assert cfg.state.p == 0.1
+
+
+@pytest.mark.parametrize(
+    "key,state",
+    [
+        ("epsilon", "{family: pure_coherent, u: 1.0, epsilon: 1e-12}"),
+        ("phase_points", "{family: mixed_coherent, u: 1.0, reflectivity: 0.5, phase_points: 6}"),
+    ],
+)
+def test_fock_oracle_keys_are_unknown(tmp_path, capsys, key, state):
+    # The Fock oracle's tail tolerance and phase-point count are fixed in the
+    # package; no CLI output ever depended on them.
+    rc, out, err = _chsh(tmp_path, capsys, f"state: {state}")
+    assert (rc, out) == (2, "")
+    assert f"config error: state.{key}: unknown key (strict mode)" in err
 
 
 @pytest.mark.parametrize(

@@ -68,9 +68,7 @@ _STATE_KEYS = {
     "u": _amplitude(1e6),
     "reflectivity": st.floats(0.0, 1.0),
     "phi": _ANGLE,
-    "phase_points": st.integers(5, 10**6),
     "zeta": _amplitude(40.0),
-    "epsilon": st.floats(1e-14, 1e-3),
 }
 
 #: The keys a config for each family usually carries.
@@ -78,9 +76,9 @@ _FAMILY_KEYS = {
     "entangled_fock": ("n",),
     "mixed_fock": ("n",),
     "werner_fock": ("n", "p"),
-    "pure_coherent": ("u", "epsilon"),
-    "mixed_coherent": ("u", "reflectivity", "phi", "phase_points", "epsilon"),
-    "two_mode_squeezed_vacuum": ("zeta", "epsilon"),
+    "pure_coherent": ("u",),
+    "mixed_coherent": ("u", "reflectivity", "phi"),
+    "two_mode_squeezed_vacuum": ("zeta",),
 }
 
 

@@ -144,6 +144,10 @@ class TestMixedCoherent:
             states.mixed_coherent(1.0, 1.2)
         with pytest.raises(SimulationError):
             states.mixed_coherent(1.0, 0.5, 0.0, 3)
+        with pytest.raises(SimulationError):
+            states.mixed_coherent(1.0, 0.5, 0.0, 5.5)
+        with pytest.raises(SimulationError):
+            states.mixed_coherent(1.0, 0.5, phase_points=np.float64(6.0))
 
 
 class TestTwoModeSqueezed:
@@ -197,7 +201,7 @@ class TestClosedFormBuilds:
 
     @pytest.mark.parametrize("zeta", [1.0, 1.2j, 0.4 - 0.9j])
     def test_squeezed_matches_expm_route(self, zeta):
-        basis = states.squeezed_basis(zeta, fock.DEFAULT_EPS)
+        basis = states.squeezed_basis(zeta)
         amps = states.two_mode_squeezed(zeta, basis).members[0][1].amplitudes
         ref = fock.two_mode_squeeze(fock.vacuum(basis), ModeIndex.HH, ModeIndex.VV, zeta)
         # As above, the truncated expm distorts its top bins by about sqrt(eps).
@@ -234,10 +238,6 @@ class TestBuild:
         with pytest.raises(SimulationError):
             states.build(StateSpec(Family.WERNER_FOCK, n=1))
 
-    def test_epsilon_range(self):
-        with pytest.raises(SimulationError):
-            StateSpec(Family.PURE_COHERENT, u=1.0, epsilon=1e-2)
-
 
 class TestSpecValidation:
     """StateSpec checks its own fields; ``build`` calls no Fock builder that would."""
@@ -259,19 +259,26 @@ class TestSpecValidation:
             {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": 0.5, "phi": math.nan},
             {"family": Family.WERNER_FOCK, "n": 1, "p": True},
             {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": False},
-            {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": 0.5, "phase_points": 5.5},
-            {
-                "family": Family.MIXED_COHERENT,
-                "u": 1.0,
-                "reflectivity": 0.5,
-                "phase_points": np.float64(6.0),
-            },
+            {"family": Family.WERNER_FOCK, "n": 1, "p": "0.5"},
+            {"family": Family.WERNER_FOCK, "n": 1, "p": 0.5j},
+            {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": "0.5"},
+            {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": 0.5, "phi": "0.3"},
+            {"family": Family.PURE_COHERENT, "u": "1"},
+            {"family": Family.PURE_COHERENT, "u": [1, 2]},
+            {"family": Family.PURE_COHERENT, "u": True},
+            {"family": Family.TWO_MODE_SQUEEZED_VACUUM, "zeta": "1"},
         ],
-        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items() if k != "family"),
+        ids=lambda kwargs: ",".join(f"{k}={v!r}" for k, v in kwargs.items() if k != "family"),
     )
     def test_out_of_range_field(self, kwargs):
         with pytest.raises(SimulationError):
             StateSpec(**kwargs)
+
+    @pytest.mark.parametrize("field", ["p", "u", "phi", "zeta"])
+    def test_int_beyond_the_float_range(self, field):
+        # n may be any size (build then raises TruncationError); these may not.
+        with pytest.raises(SimulationError, match=f"^{field}="):
+            StateSpec(Family.WERNER_FOCK, **{field: 10**400})
 
     def test_integer_types_accepted(self):
         assert type(StateSpec(Family.MIXED_FOCK, n=np.int64(3)).n) is int
@@ -293,7 +300,6 @@ def _family_specs():
             u=amplitude,
             reflectivity=unit,
             phi=st.floats(-4.0, 4.0),
-            phase_points=st.integers(5, 9),
         ),
         st.builds(
             StateSpec,
@@ -305,10 +311,15 @@ def _family_specs():
 
 class TestClosedFormMoments:
     @settings(max_examples=120, deadline=None)
-    @given(_family_specs())
-    def test_matches_fock_oracle(self, spec):
+    @given(_family_specs(), st.integers(5, 9))
+    def test_matches_fock_oracle(self, spec, phase_points):
         closed = states.build(spec)
-        oracle = states.fock_ensemble(spec).moments
+        if spec.family is Family.MIXED_COHERENT:
+            # Any number of phase points from 5 on averages the moments exactly.
+            u, r, phi = spec.u, spec.reflectivity, spec.phi
+            oracle = states.mixed_coherent(u, r, phi, phase_points).moments
+        else:
+            oracle = states.fock_ensemble(spec).moments
         itot = oracle.itot
         # The Fock builders take an amplitude whose |u|^2 underflows as vacuum.
         assert np.max(np.abs(closed.g - oracle.g)) <= 1e-9 * itot + 1e-300
@@ -346,7 +357,7 @@ class TestEnsembleGuard:
         [
             (StateSpec(Family.MIXED_FOCK, n=3), 4, 36),
             (StateSpec(Family.WERNER_FOCK, n=3, p=0.5), 5, 36),
-            (StateSpec(Family.MIXED_COHERENT, u=1.0, reflectivity=0.5, phase_points=6), 6, None),
+            (StateSpec(Family.MIXED_COHERENT, u=1.0, reflectivity=0.5), 8, None),
         ],
     )
     def test_over_the_guard_before_any_member(self, monkeypatch, spec, members, dimension):
