@@ -66,6 +66,15 @@ def _is_finite(value, kind: type) -> bool:
         return False
 
 
+def _shown(value) -> str:
+    """repr(value) for a refusal message, or its type where repr raises: an int
+    longer than ``sys.get_int_max_str_digits()`` has no repr."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+
+
 @dataclass(frozen=True)
 class StateSpec:
     """Family plus its parameters; the unit of CLI configuration."""
@@ -81,19 +90,19 @@ class StateSpec:
     def __post_init__(self):
         if self.n is not None:
             if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool) or self.n < 0:
-                raise SimulationError(f"n={self.n!r} is not a nonnegative integer")
+                raise SimulationError(f"n={_shown(self.n)} is not a nonnegative integer")
             # A Python int, so that N(N-1) cannot wrap around as a fixed-width one would.
             object.__setattr__(self, "n", int(self.n))
         for name in ("p", "reflectivity"):
             value = getattr(self, name)
             if value is not None and not (_is_finite(value, numbers.Real) and 0.0 <= value <= 1.0):
-                raise SimulationError(f"{name}={value!r} is not a number in [0, 1]")
+                raise SimulationError(f"{name}={_shown(value)} is not a number in [0, 1]")
         if not _is_finite(self.phi, numbers.Real):
-            raise SimulationError(f"phi={self.phi!r} is not a finite real number")
+            raise SimulationError(f"phi={_shown(self.phi)} is not a finite real number")
         for name in ("u", "zeta"):
             value = getattr(self, name)
             if value is not None and not _is_finite(value, numbers.Complex):
-                raise SimulationError(f"{name}={value!r} is not a finite complex number")
+                raise SimulationError(f"{name}={_shown(value)} is not a finite complex number")
 
 
 def _source_basis(source_cutoff: int) -> BasisConfig:
@@ -155,8 +164,8 @@ def werner_fock(
     n_photons: int, p: float, basis: BasisConfig | None = None
 ) -> StateEnsemble:
     """Convex mixture p * entangled + (1-p) * dephased."""
-    if not 0.0 <= p <= 1.0:
-        raise SimulationError(f"p={p} outside [0, 1]")
+    if not (_is_finite(p, numbers.Real) and 0.0 <= p <= 1.0):
+        raise SimulationError(f"p={_shown(p)} outside [0, 1]")
     if basis is None:
         basis = fock_basis(n_photons)
     if p == 1.0:
@@ -223,11 +232,11 @@ def mixed_coherent(
     with theta_k uniform on the circle; the discrete average is exact for all
     moments of trigonometric degree below the number of phase points.
     """
-    if not 0.0 <= reflectivity <= 1.0:
-        raise SimulationError(f"reflectivity={reflectivity} outside [0, 1]")
+    if not (_is_finite(reflectivity, numbers.Real) and 0.0 <= reflectivity <= 1.0):
+        raise SimulationError(f"reflectivity={_shown(reflectivity)} outside [0, 1]")
     # A bool is an Integral, but True and False are both below 5.
     if not isinstance(phase_points, numbers.Integral) or phase_points < 5:
-        raise SimulationError(f"phase_points={phase_points!r} is not an integer >= 5")
+        raise SimulationError(f"phase_points={_shown(phase_points)} is not an integer >= 5")
     root_r = math.sqrt(reflectivity)
     root_t = math.sqrt(1.0 - reflectivity)
     if basis is None:

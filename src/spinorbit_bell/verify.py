@@ -3,14 +3,16 @@
 Each check pits the Fock-space simulation against an independent reference:
 the analytic closed forms, direct quadrature, or an alternative construction
 of the same state; the last one checks the closed-form moments that the CLI
-evaluates against the Fock-tensor moments. Randomized checks use a fixed
-seed so runs are reproducible byte for byte.
+evaluates against the Fock-tensor moments. Randomized checks draw from the
+standard library's ``random.Random`` under a fixed seed, so runs are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,11 @@ def _mode_power_check() -> CheckResult:
     return _check("hg-mode unit power (trapezoid quadrature)", abs(power - 1.0), 1e-6)
 
 
+def _normal(rng: random.Random, *shape: int) -> np.ndarray:
+    """Standard normal draws of the given shape, filled in row-major order."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))]).reshape(shape)
+
+
 def _concurrence_checks(rng) -> list[CheckResult]:
     out = []
     worst = max(
@@ -56,8 +63,8 @@ def _concurrence_checks(rng) -> list[CheckResult]:
     out.append(_check("concurrence of Bell modes equals 1", worst, 1e-12))
     worst = 0.0
     for _ in range(20):
-        pol = rng.normal(size=2) + 1j * rng.normal(size=2)
-        orb = rng.normal(size=2) + 1j * rng.normal(size=2)
+        pol = _normal(rng, 2) + 1j * _normal(rng, 2)
+        orb = _normal(rng, 2) + 1j * _normal(rng, 2)
         c = np.outer(pol, orb).reshape(-1)
         c /= np.linalg.norm(c)
         worst = max(worst, modes.concurrence(modes.VectorModeCoefficients(*c)))
@@ -215,8 +222,8 @@ def _misc_checks(rng, catalog: _Catalog) -> list[CheckResult]:
     worst = 0.0
     for _ in range(5):
         s = Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
-        n = int(rng.integers(1, 4))
-        worst = max(worst, werner_decomposition_check(n, float(rng.uniform(0, 1)), s))
+        n = rng.randint(1, 3)
+        worst = max(worst, werner_decomposition_check(n, rng.uniform(0, 1), s))
     out.append(_check("Werner variance decomposition", worst, 1e-10))
 
     basis = states.coherent_basis(2.0 * 1.5**2, 1e-10)
@@ -282,7 +289,7 @@ def _moment_core_check(rng) -> CheckResult:
     ensembles = []
     for _ in range(3):
         amps = np.zeros(basis.dims, dtype=np.complex128)
-        amps[:3, :3, :3, :3] = rng.normal(size=(3,) * 4) + 1j * rng.normal(size=(3,) * 4)
+        amps[:3, :3, :3, :3] = _normal(rng, 3, 3, 3, 3) + 1j * _normal(rng, 3, 3, 3, 3)
         state = fock.PureState(basis, amps / np.linalg.norm(amps))
         ensembles.append(StateEnsemble.pure(state))
     squeezed = states.squeezed_basis(1.0)
@@ -346,18 +353,18 @@ def _random_specs(rng) -> list[StateSpec]:
     """One state per family with seeded parameters at Fock-oracle sizes."""
 
     def amplitude(bound: float) -> complex:
-        return complex(*rng.uniform(-bound, bound, 2))
+        return complex(rng.uniform(-bound, bound), rng.uniform(-bound, bound))
 
     return [
-        StateSpec(Family.ENTANGLED_FOCK, n=int(rng.integers(1, 6))),
-        StateSpec(Family.MIXED_FOCK, n=int(rng.integers(1, 6))),
-        StateSpec(Family.WERNER_FOCK, n=int(rng.integers(1, 6)), p=float(rng.uniform())),
+        StateSpec(Family.ENTANGLED_FOCK, n=rng.randint(1, 5)),
+        StateSpec(Family.MIXED_FOCK, n=rng.randint(1, 5)),
+        StateSpec(Family.WERNER_FOCK, n=rng.randint(1, 5), p=rng.random()),
         StateSpec(Family.PURE_COHERENT, u=amplitude(1.0)),
         StateSpec(
             Family.MIXED_COHERENT,
             u=amplitude(1.0),
-            reflectivity=float(rng.uniform()),
-            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+            reflectivity=rng.random(),
+            phi=rng.uniform(0.0, 2.0 * math.pi),
         ),
         StateSpec(Family.TWO_MODE_SQUEEZED_VACUUM, zeta=amplitude(1.0)),
     ]
@@ -387,7 +394,7 @@ def _closed_form_moments_check(rng, catalog: _Catalog) -> CheckResult:
 
 
 def run_verification() -> list[CheckResult]:
-    rng = np.random.default_rng(_SEED)
+    rng = random.Random(_SEED)
     catalog = [(name, states.fock_ensemble(spec), spec) for name, spec in _CATALOG]
     results = [_mode_power_check()]
     results.extend(_concurrence_checks(rng))

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinorbit_bell import analysis, cli, fock, states
+from spinorbit_bell import analysis, cli, fock, states, verify
 from spinorbit_bell.apparatus import Settings
 from spinorbit_bell.errors import ConfigError, SimulationError, TruncationError
 from spinorbit_bell.states import Family, StateSpec
@@ -333,24 +333,42 @@ def test_small_normal_intensity_is_accepted(tmp_path, capsys):
     assert json.loads(out)["s_value"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)
 
 
-def test_cli_import_loads_no_scipy():
-    # Neither the CLI import nor a whole verify run, the expm oracle route
-    # included, loads a scipy module.
+def _child_stdout(*args: str) -> str:
+    """Stdout of ``python *args`` in a child that imports this test run's package tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, check=True, env=env
+    ).stdout
+
+
+def _modules_loaded(package: str) -> list[str]:
+    """Modules of ``package`` a fresh child holds after importing the CLI, and
+    after a whole verify run, the expm oracle route included."""
     code = (
         "import sys, spinorbit_bell.cli\n"
-        "count = lambda: sum(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        f"count = lambda: sum((m + '.').startswith({package + '.'!r}) for m in sys.modules)\n"
         "after_import = count()\n"
         "spinorbit_bell.verify.run_verification()\n"
         "print(after_import, count())"
     )
-    # The child imports the same package tree as this test run.
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    ).stdout
-    assert out.split() == ["0", "0"]
+    return _child_stdout("-c", code).split()
+
+
+def test_cli_import_loads_no_scipy():
+    assert _modules_loaded("scipy") == ["0", "0"]
+
+
+def test_cli_import_loads_no_numpy_random():
+    # verify takes its seeded draws from the standard library's random.
+    assert _modules_loaded("numpy.random") == ["0", "0"]
+
+
+def test_verify_report_reproducible():
+    report = verify.format_report(verify.run_verification())
+    assert verify.format_report(verify.run_verification()) == report
+    assert _child_stdout("-m", "spinorbit_bell.cli", "verify") == report
 
 
 @pytest.mark.parametrize(

@@ -67,8 +67,9 @@ class TestWernerFock:
         assert sorted(w for w, _ in e.members) == pytest.approx([0.25, 0.25, 0.5])
 
     def test_p_out_of_range(self):
-        with pytest.raises(SimulationError):
-            states.werner_fock(1, 1.5)
+        for p in (1.5, "0.5", True, 10**5000):
+            with pytest.raises(SimulationError, match="^p="):
+                states.werner_fock(1, p)
 
     @pytest.mark.parametrize("p", [0.2, 0.7])
     def test_mean_affine_in_p(self, p):
@@ -148,6 +149,11 @@ class TestMixedCoherent:
             states.mixed_coherent(1.0, 0.5, 0.0, 5.5)
         with pytest.raises(SimulationError):
             states.mixed_coherent(1.0, 0.5, phase_points=np.float64(6.0))
+        with pytest.raises(SimulationError, match="^phase_points="):
+            states.mixed_coherent(1.0, 0.5, 0.0, -(10**5000))
+        for reflectivity in ("0.5", False, math.nan, 10**5000):
+            with pytest.raises(SimulationError, match="^reflectivity="):
+                states.mixed_coherent(1.0, reflectivity)
 
 
 class TestTwoModeSqueezed:
@@ -279,6 +285,21 @@ class TestSpecValidation:
         # n may be any size (build then raises TruncationError); these may not.
         with pytest.raises(SimulationError, match=f"^{field}="):
             StateSpec(Family.WERNER_FOCK, **{field: 10**400})
+
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("u", {"family": Family.PURE_COHERENT, "u": 10**5000}),
+            ("n", {"family": Family.MIXED_FOCK, "n": -(10**5000)}),
+            ("p", {"family": Family.WERNER_FOCK, "n": 1, "p": 10**5000}),
+            ("phi", {"family": Family.MIXED_COHERENT, "u": 1.0, "reflectivity": 0.5, "phi": 10**5000}),
+        ],
+        ids=["u", "n", "p", "phi"],
+    )
+    def test_int_too_long_to_show(self, field, kwargs):
+        # Past the int-to-str digit limit, so the refusal cannot repr the value.
+        with pytest.raises(SimulationError, match=f"^{field}="):
+            StateSpec(**kwargs)
 
     def test_integer_types_accepted(self):
         assert type(StateSpec(Family.MIXED_FOCK, n=np.int64(3)).n) is int
