@@ -4,9 +4,10 @@ Usage:
     spinorbit-bell chsh|noise-scan|mode-pattern|verify --config run.yaml
         [--output PATH] [--format csv|json]
 
-The config is a YAML document; unknown keys are rejected so that typos in
-physics parameters fail loudly. Angles accept radian numbers or pi-rational
-literals such as ``pi/8`` or ``3pi/4``.
+The config is a YAML document; unknown keys, and state keys that the
+family does not take, are rejected so that typos in physics parameters fail
+loudly. Angles accept radian numbers or pi-rational literals such as
+``pi/8`` or ``3pi/4``.
 
 Exit codes: 0 success, 1 verify FAIL, 2 config error, 3 truncation error,
 4 I/O error.
@@ -194,7 +195,11 @@ _STATE_KEYS = {"family", "u", "phi", "zeta", *_STATE_NUMBERS}
 def _parse_state(doc) -> StateSpec:
     doc = _section(doc, "state", ("family",), _STATE_KEYS)
     family = _member(Family, doc, "state", "family")
-    _section(doc, "state", states.FAMILIES[family].required, _STATE_KEYS)
+    routes = states.FAMILIES[family]
+    _section(doc, "state", routes.required, _STATE_KEYS)
+    foreign = set(doc) - {"family", *routes.required, *routes.optional}
+    if foreign:
+        raise ConfigError(f"state.{min(foreign)}", f"not a parameter of {family.value}")
     kwargs = {
         key: _number(doc[key], f"state.{key}", *bounds)
         for key, bounds in _STATE_NUMBERS.items()

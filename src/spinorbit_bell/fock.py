@@ -7,6 +7,12 @@ regression checks.
 
 Linear indexing convention: occupation of the first mode varies slowest,
 the last mode fastest (C order over the axis tuple).
+
+The exponentials are taken of the truncated generators, each once and
+exactly where the generator allows it: a displacement through one
+eigendecomposition per cutoff, two-mode squeezing chain by chain on the
+chains of fixed n_A - n_B, and the joint displacement of a mode pair as a
+Chebyshev series. ``moments`` lowers all members of an ensemble at once.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import cmath
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,6 +35,39 @@ DEFAULT_EPS = 1e-10
 
 #: Hard cap on state-vector length; guards against accidental huge bases.
 MAX_DIMENSION = 4_000_000
+
+
+def is_finite_number(value, kind: type = numbers.Complex) -> bool:
+    """Whether value is a finite number of the kind (Real, Complex), and not a bool."""
+    try:
+        return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def shown(value) -> str:
+    """repr(value) for a refusal message, or its type where repr raises: an int
+    longer than ``sys.get_int_max_str_digits()`` has no repr."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
+
+
+def photon_number(value, name: str) -> int:
+    """value as a Python int; SimulationError naming it unless it is a
+    nonnegative integer, which a bool is not."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+        raise SimulationError(f"{name}={shown(value)} is not a nonnegative integer")
+    # A Python int, so that N(N-1) cannot wrap around as a fixed-width one would.
+    return int(value)
+
+
+def finite_complex(value, name: str):
+    """value itself; SimulationError naming it unless it is a finite complex number."""
+    if not is_finite_number(value):
+        raise SimulationError(f"{name}={shown(value)} is not a finite complex number")
+    return value
 
 
 class ModeIndex(enum.IntEnum):
@@ -66,7 +106,7 @@ class BasisConfig:
     def n_modes(self) -> int:
         return len(self.cutoffs)
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(c + 1 for c in self.cutoffs)
 
@@ -83,23 +123,16 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != self.basis.dims:
             raise SimulationError(
                 f"amplitude shape {amps.shape} does not match basis dims {self.basis.dims}"
             )
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "PureState":
-        n = self.norm()
-        if n == 0.0:
-            raise SimulationError("cannot normalize the zero vector")
-        return PureState(self.basis, self.amplitudes / n)
 
     def overlap(self, other: "PureState") -> complex:
         if other.basis != self.basis:
@@ -136,14 +169,25 @@ class StateEnsemble:
         return self.members[0][1].basis
 
     @functools.cached_property
+    def _grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each member's Gram matrices of its lowered vectors (see :func:`_member_grams`)."""
+        return _member_grams(self)
+
+    @functools.cached_property
     def moments(self) -> "Moments":
         """The :class:`Moments` of the truncated state, computed on first use.
 
         K is formed from :func:`moments` by subtraction, which is exact
         enough at the sizes a Fock tensor can hold.
         """
-        g, gamma = moments(self)
-        return Moments(g, gamma - np.einsum("ac,bd->abcd", g, g))
+        return _connected(*moments(self))
+
+    @functools.cached_property
+    def member_moments(self) -> tuple["Moments", ...]:
+        """The :class:`Moments` of each member alone, from the same lowering as ``moments``."""
+        return tuple(
+            _connected(*_expand(self.basis.cutoffs, g, gram)) for g, gram in zip(*self._grams)
+        )
 
     @classmethod
     def pure(cls, state: PureState) -> "StateEnsemble":
@@ -188,6 +232,12 @@ class Moments:
         return float(self.g.trace().real)
 
     @functools.cached_property
+    def _k_pairs(self) -> np.ndarray:
+        """K regrouped to (ij) x (kl) from K_ikjl: the matrix of a variance's bilinear form."""
+        n = self.g.shape[0]
+        return self.k.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+    @functools.cached_property
     def _ensemble(self) -> StateEnsemble:
         if self.oracle is None:
             raise SimulationError("these moments have no Fock oracle")
@@ -216,12 +266,11 @@ class OneBodyOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128)
+        mat = np.array(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise SimulationError("one-body matrix must be square")
         if not (np.isfinite(mat).all() and np.max(np.abs(mat - mat.conj().T)) <= 1e-12):
             raise SimulationError("one-body matrix must be finite and Hermitian")
-        mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -297,9 +346,60 @@ def apply_one_body(state: PureState, op: OneBodyOperator) -> PureState:
 
 @functools.lru_cache(maxsize=64)
 def _active_blocks(cutoffs: tuple[int, ...]):
-    """The modes with a nonzero cutoff, and the np.ix_ indices of their G and Gamma blocks."""
+    """The modes with a nonzero cutoff, the np.ix_ indices of their G and Gamma
+    blocks, and the index pair that expands a Gram matrix of the pairs i <= j
+    to Gamma: row j(j+1)/2 + i holds the pair (i, j), and so does entry
+    [i, j] or [j, i] of the table."""
     active = [m for m, c in enumerate(cutoffs) if c > 0]
-    return active, np.ix_(active, active), np.ix_(*[active] * 4)
+    k = len(active)
+    pair = [[max(i, j) * (max(i, j) + 1) // 2 + min(i, j) for j in range(k)] for i in range(k)]
+    row = np.array(pair, dtype=np.intp).reshape(k, k)
+    expand = (row[:, :, None, None], row[None, None, :, :])
+    return active, np.ix_(active, active), np.ix_(*[active] * 4), expand
+
+
+def _member_grams(ensemble: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """Per member, the Gram matrices <a_i psi|a_j psi> over the active modes,
+    shape (members, k, k), and <a_i a_j psi|a_k a_l psi> over the pairs i <= j,
+    shape (members, k(k+1)/2, k(k+1)/2).
+
+    The members are stacked on a leading axis, so that one lowering acts on
+    all of them. Since a_i a_j psi = a_j a_i psi, only the pairs i <= j are
+    lowered.
+    """
+    active = _active_blocks(ensemble.basis.cutoffs)[0]
+    k = len(active)
+    stacked = np.stack([s.amplitudes for _, s in ensemble.members])
+    members, size = stacked.shape[0], stacked[0].size
+    once = np.zeros((members, k) + stacked.shape[1:], dtype=np.complex128)
+    twice = np.zeros((members, k * (k + 1) // 2) + stacked.shape[1:], dtype=np.complex128)
+    for i, m in enumerate(active):
+        _lower(stacked, m + 1, once[:, i])
+    for j, m in enumerate(active):
+        top = j * (j + 1) // 2
+        _lower(once[:, : j + 1], m + 2, twice[:, top : top + j + 1])
+    flat1 = once.reshape(members, k, size)
+    flat2 = twice.reshape(members, -1, size)
+    return flat1.conj() @ flat1.transpose(0, 2, 1), flat2.conj() @ flat2.transpose(0, 2, 1)
+
+
+def _expand(cutoffs: tuple[int, ...], g: np.ndarray, gram: np.ndarray):
+    """G and Gamma on all modes from the Gram matrices of :func:`_member_grams`."""
+    n = len(cutoffs)
+    active, block2, block4, expand = _active_blocks(cutoffs)
+    gamma = gram[expand]
+    if len(active) == n:
+        return g, gamma
+    g_full = np.zeros((n, n), dtype=np.complex128)
+    g_full[block2] = g
+    gamma_full = np.zeros((n,) * 4, dtype=np.complex128)
+    gamma_full[block4] = gamma
+    return g_full, gamma_full
+
+
+def _connected(g: np.ndarray, gamma: np.ndarray) -> Moments:
+    """Moments with K = Gamma - G_ac G_bd."""
+    return Moments(g, gamma - g[:, None, :, None] * g[None, :, None, :])
 
 
 def moments(ensemble: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
@@ -310,32 +410,15 @@ def moments(ensemble: StateEnsemble) -> tuple[np.ndarray, np.ndarray]:
     as G_jk = <a_j psi|a_k psi> and Gamma_ijkl = <a_i a_j psi|a_k a_l psi>.
     Lowering never leaves the truncated space, so these are the exact moments
     of the truncated state. Modes with cutoff 0 contribute only zeros and are
-    skipped.
+    skipped. The lowering is done once per ensemble, which caches it for
+    ``StateEnsemble.member_moments`` too.
     """
-    n = ensemble.basis.n_modes
-    active, block2, block4 = _active_blocks(ensemble.basis.cutoffs)
-    k = len(active)
-    # Members scaled by sqrt(w) and stacked on a leading axis, so that one
-    # lowering acts on all of them and the weighted sums are one product each.
-    stacked = np.stack([math.sqrt(w) * s.amplitudes for w, s in ensemble.members])
-    once = np.zeros((k,) + stacked.shape, dtype=np.complex128)
-    twice = np.zeros((k, k) + stacked.shape, dtype=np.complex128)
-    for i, m in enumerate(active):
-        _lower(stacked, m + 1, once[i])
-    # Row (j, i) holds a_j a_i psi, which is a_i a_j psi; Gamma has that symmetry.
-    for j, m in enumerate(active):
-        _lower(once, m + 2, twice[j])
-    flat1 = once.reshape(k, stacked.size)
-    flat2 = twice.reshape(k * k, stacked.size)
-    g = flat1.conj() @ flat1.T
-    gamma = flat2.conj() @ flat2.T
-    if k == n:
-        return g, gamma.reshape((n,) * 4)
-    g_full = np.zeros((n, n), dtype=np.complex128)
-    g_full[block2] = g
-    gamma_full = np.zeros((n,) * 4, dtype=np.complex128)
-    gamma_full[block4] = gamma.reshape((k,) * 4)
-    return g_full, gamma_full
+    weights = np.array([w for w, _ in ensemble.members])
+
+    def weighted(x):  # sum_m w_m x[m], over the leading member axis
+        return (weights @ x.reshape(weights.size, -1)).reshape(x.shape[1:])
+
+    return _expand(ensemble.basis.cutoffs, *map(weighted, ensemble._grams))
 
 
 def mean_and_variance(
@@ -358,8 +441,7 @@ def mean_and_variance(
     mean = complex(b.ravel() @ g)
     if not abs(mean.imag) <= tol:
         raise SimulationError(f"expectation has imaginary residue {mean.imag}")
-    k = m.k.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    var = float((b.ravel() @ k @ b.ravel() + (b @ b).ravel() @ g).real)
+    var = float((b.ravel() @ m._k_pairs @ b.ravel() + (b @ b).ravel() @ g).real)
     if not var >= -tol:
         raise SimulationError(f"negative variance {var}")
     return mean.real, var
@@ -378,8 +460,8 @@ def variance_one_body(state: Moments | StateEnsemble, op: OneBodyOperator) -> fl
 #: Largest cutoff the tail searches consider before declaring divergence.
 _TAIL_SEARCH_LIMIT = 100_000
 
-#: Squared relative size below which a Taylor term no longer changes the sum.
-_ROUND_OFF_SQ = (np.finfo(np.float64).eps / 2.0) ** 2
+#: Relative size below which a series term no longer changes the sum.
+_ROUND_OFF = np.finfo(np.float64).eps / 2.0
 
 
 @functools.lru_cache(maxsize=64)
@@ -532,30 +614,61 @@ def _distinct_finite_pair(mode_a: int, mode_b: int, what: str, *strengths: compl
     return ia, ib
 
 
+@functools.lru_cache(maxsize=16)
+def _chains(da: int, db: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """The chains (i + t, j + t), t = 0, 1, ..., of a (da, db) pair grid, on which
+    n_A - n_B = i - j is fixed; each as its shift |i - j| and the flat indices
+    (i + t) db + j + t of its sites."""
+    out = []
+    for s in range(1 - da, db):
+        i, j = max(0, -s), max(0, s)
+        t = np.arange(min(da - i, db - j))
+        out.append((abs(s), (i + t) * db + j + t))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_eigh(shift: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (Lambda, W) of a chain's real symmetric hopping matrix T,
+    T[t, t + 1] = T[t + 1, t] = sqrt((t + 1)(t + 1 + shift)) for t = 0..length-2."""
+    t = np.arange(1, length)
+    hop = np.sqrt(t * (t + shift))
+    lam, vec = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
+    lam.flags.writeable = False
+    vec.flags.writeable = False
+    return lam, vec
+
+
 def two_mode_squeeze(state: PureState, mode_a: int, mode_b: int, zeta: complex) -> PureState:
     """Apply exp((zeta* a_A a_B - zeta a+_A a+_B)/2) on a mode pair.
 
     Note the generator carries zeta/2, so the effective squeezing strength
-    is r = |zeta|/2. It is the expm oracle for the closed-form squeezed
-    build in ``states``.
+    is r = |zeta|/2. The truncated generator keeps n_A - n_B, so it is
+    exponentiated exactly on each chain of sites (i + t, j + t). On a chain it
+    is P (i r T) P+ with the gauge P = diag(e^(i(arg zeta + pi/2) t)) and the
+    chain's hopping matrix T = W Lambda W^T, decomposed once per chain, so its
+    unitary is (PW) exp(i r Lambda) (PW)+. Chains the state leaves empty are
+    skipped. It is the expm oracle for the closed-form squeezed build in
+    ``states``.
     """
     ia, ib = _distinct_finite_pair(mode_a, mode_b, "two-mode squeezing", zeta)
     check_squeezing_room(state.basis, ia, ib, zeta)
     if zeta == 0:
         return state
     da, db = state.basis.dims[ia], state.basis.dims[ib]
-    # a_A a_B takes x[i+1, j+1] to row (i, j) with weight sqrt((i+1)(j+1)).
-    w = np.sqrt(np.outer(np.arange(1, da), np.arange(1, db)))
-    down, up = (np.conj(zeta) / 2.0) * w, (zeta / 2.0) * w
-
-    def generator(x):
-        out = np.zeros(x.shape, x.dtype)
-        np.multiply(down, x[:, 1:, 1:], out=out[:, :-1, :-1])
-        out[:, 1:, 1:] -= up * x[:, :-1, :-1]
-        return out
-
-    norm = abs(zeta) * math.sqrt((da - 1) * (db - 1))
-    return _apply_exponential(state, ia, ib, generator, norm)
+    pair = np.moveaxis(state.amplitudes, (ia, ib), (-2, -1))
+    flat = pair.reshape(-1, da * db)
+    out = np.zeros(flat.shape, dtype=np.complex128)
+    r = abs(zeta) / 2.0
+    gauge = np.exp(1j * (cmath.phase(zeta) + math.pi / 2.0) * np.arange(min(da, db)))
+    for shift, sites in _chains(da, db):
+        x = flat[:, sites]
+        if not x.any():
+            continue
+        lam, vec = _chain_eigh(shift, sites.size)
+        p = gauge[: sites.size]
+        out[:, sites] = ((x * p.conj()) @ vec * np.exp(1j * r * lam)) @ vec.T * p
+    return PureState(state.basis, np.moveaxis(out.reshape(pair.shape), (-2, -1), (ia, ib)))
 
 
 def displace_pair_generator(
@@ -582,33 +695,73 @@ def displace_pair_generator(
     return _apply_exponential(state, ia, ib, generator, norm)
 
 
+#: The factor by which Miller's recurrence is scaled down before it overflows; a power
+#: of two, so that the scaling is exact.
+_BESSEL_RESCALE = 2.0**64
+
+
+def _bessel_j(x: float) -> np.ndarray:
+    """J_0(x), ..., J_(K-1)(x) for x > 0, where K is the first order past x and
+    past 1 with |J_K(x)| below round-off.
+
+    Miller's backward recurrence J_(k-1) = (2k/x) J_k - J_(k+1), started at an
+    arbitrary scale above every order it returns, rescaled before it can
+    overflow, and normalized by J_0 + 2 (J_2 + J_4 + ...) = 1.
+    """
+    # |J_k(x)| <= (x/2)^k / k!, below round-off from order top on; starting 16 orders
+    # higher leaves a negligible admixture of the growing solution Y_k.
+    log_half, log_floor = math.log(x / 2.0), math.log(_ROUND_OFF)
+    top = math.floor(max(x, 1.0)) + 1
+    while top * log_half - math.lgamma(top + 1.0) > log_floor:
+        top += 1
+    start = top + 16
+    j = [0.0] * (start + 2)
+    j[start] = 1.0
+    for k in range(start, 0, -1):
+        j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
+        if abs(j[k - 1]) > _BESSEL_RESCALE:
+            j[k - 1 :] = [v / _BESSEL_RESCALE for v in j[k - 1 :]]
+    values = np.array(j[: start + 1])
+    values /= values[0] + 2.0 * values[2::2].sum()
+    past = np.arange(values.size) > max(x, 1.0)
+    return values[: np.argmax(past & (np.abs(values) < _ROUND_OFF))]
+
+
+#: (-i)^k for k mod 4, exactly.
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
+
+
 def _apply_exponential(
     state: PureState, mode_a: int, mode_b: int, generator, norm: float
 ) -> PureState:
-    """Apply exp(A) for A acting on a mode pair, given A's action and a bound on ||A||.
+    """Apply exp(A) for A acting on a mode pair, given A's action and a bound R >= ||A||.
 
     The amplitudes are viewed once as (rest, d_A, d_B), the pair axes last,
     and the generator acts on that view. It acts with the truncated ladder
     operators P a P and P a+ P, so this is the exponential of the truncated
-    generator. It is summed as a Taylor series in substeps with h = ||A|| / steps
-    <= 6. Term k + 1 is at most h / (k + 1) of term k, so once that is <= 2/3 the
-    series is cut at a term below round-off of the substep's input, whose norm
-    the anti-Hermitian generator keeps.
+    generator. A is anti-Hermitian, so X = iA/R has its spectrum in [-1, 1],
+    and exp(A) = exp(-iRX) = J_0(R) + 2 sum_k (-i)^k J_k(R) T_k(X) is summed
+    with the Chebyshev recurrence T_(k+1) = 2X T_k - T_(k-1) (Tal-Ezer and
+    Kosloff, J. Chem. Phys. 81, 3967 (1984)). As ||T_k(X)|| <= 1, the series
+    is cut where |J_k(R)| falls below round-off.
     """
-    steps = max(1, math.ceil(norm / 6.0))
-    first = math.ceil(1.5 * norm / steps) - 1
+    # Below round-off exp(A) is the identity to round-off; there Miller's
+    # recurrence, whose steps grow like 2k/R, would overflow.
+    if norm <= _ROUND_OFF:
+        return state
+    bessel = _bessel_j(norm)
+    coeffs = 2.0 * bessel * _MINUS_I_POWERS[np.arange(bessel.size) % 4]
     pair = np.moveaxis(state.amplitudes, (mode_a, mode_b), (-2, -1))
-    arr = pair.reshape((-1,) + pair.shape[-2:])
-    for _ in range(steps):
-        term, total, k = arr, arr.copy(), 0
-        floor = _ROUND_OFF_SQ * np.vdot(arr, arr).real
-        while k < first or np.vdot(term, term).real > floor:
-            k += 1
-            term = generator(term)
-            term /= k * steps
-            total += term
-        arr = total
-    out = np.moveaxis(arr.reshape(pair.shape), (-2, -1), (mode_a, mode_b))
+    prev = pair.reshape((-1,) + pair.shape[-2:])
+    cur = generator(prev) * (1j / norm)
+    total = bessel[0] * prev + coeffs[1] * cur
+    for c in coeffs[2:]:
+        nxt = generator(cur)
+        nxt *= 2j / norm
+        nxt -= prev
+        total += c * nxt
+        prev, cur = cur, nxt
+    out = np.moveaxis(total.reshape(pair.shape), (-2, -1), (mode_a, mode_b))
     return PureState(state.basis, out)
 
 

@@ -14,7 +14,9 @@ the closed-form number-basis amplitudes, truncated at the cutoffs and
 renormalized; ``fock.displace`` and ``fock.two_mode_squeeze`` remain as the
 expm route that ``verify`` checks them against. All families excite only the
 Hh and Vv modes, so the measurement-only modes Hv and Vh carry cutoff 0:
-``fock.moments`` only lowers, so no room for moved photons is needed.
+``fock.moments`` only lowers, so no room for moved photons is needed. The
+builders refuse the arguments ``StateSpec`` refuses, by name, and check a
+basis for room only when the caller gives one.
 """
 
 from __future__ import annotations
@@ -58,21 +60,13 @@ class Family(enum.Enum):
     TWO_MODE_SQUEEZED_VACUUM = "two_mode_squeezed_vacuum"
 
 
-def _is_finite(value, kind: type) -> bool:
-    """Whether value is a finite number of the kind (Real, Complex), and not a bool."""
-    try:
-        return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
+def _in_unit_interval(value) -> bool:
+    return fock.is_finite_number(value, numbers.Real) and 0.0 <= value <= 1.0
 
 
-def _shown(value) -> str:
-    """repr(value) for a refusal message, or its type where repr raises: an int
-    longer than ``sys.get_int_max_str_digits()`` has no repr."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"<{type(value).__name__} too long to show>"
+def _check_phi(phi) -> None:
+    if not fock.is_finite_number(phi, numbers.Real):
+        raise SimulationError(f"phi={fock.shown(phi)} is not a finite real number")
 
 
 @dataclass(frozen=True)
@@ -89,20 +83,15 @@ class StateSpec:
 
     def __post_init__(self):
         if self.n is not None:
-            if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool) or self.n < 0:
-                raise SimulationError(f"n={_shown(self.n)} is not a nonnegative integer")
-            # A Python int, so that N(N-1) cannot wrap around as a fixed-width one would.
-            object.__setattr__(self, "n", int(self.n))
+            object.__setattr__(self, "n", fock.photon_number(self.n, "n"))
         for name in ("p", "reflectivity"):
             value = getattr(self, name)
-            if value is not None and not (_is_finite(value, numbers.Real) and 0.0 <= value <= 1.0):
-                raise SimulationError(f"{name}={_shown(value)} is not a number in [0, 1]")
-        if not _is_finite(self.phi, numbers.Real):
-            raise SimulationError(f"phi={_shown(self.phi)} is not a finite real number")
+            if value is not None and not _in_unit_interval(value):
+                raise SimulationError(f"{name}={fock.shown(value)} is not a number in [0, 1]")
+        _check_phi(self.phi)
         for name in ("u", "zeta"):
-            value = getattr(self, name)
-            if value is not None and not _is_finite(value, numbers.Complex):
-                raise SimulationError(f"{name}={_shown(value)} is not a finite complex number")
+            if getattr(self, name) is not None:
+                fock.finite_complex(getattr(self, name), name)
 
 
 def _source_basis(source_cutoff: int) -> BasisConfig:
@@ -137,6 +126,7 @@ def _check_ensemble_size(members: int, basis: BasisConfig) -> None:
 
 def entangled_fock(n_photons: int, basis: BasisConfig | None = None) -> StateEnsemble:
     """N photons coherently shared between Hh and Vv (Fock state on Psi+)."""
+    n_photons = fock.photon_number(n_photons, "n_photons")
     if basis is None:
         basis = fock_basis(n_photons)
     return StateEnsemble.pure(fock_on_bell_mode(n_photons, BellModeLabel.PSI_PLUS, basis))
@@ -148,9 +138,10 @@ def binomial_weights(n_photons: int) -> list[float]:
 
 def mixed_fock(n_photons: int, basis: BasisConfig | None = None) -> StateEnsemble:
     """Fully dephased N-photon state: binomial mixture of |n, N-n> splits."""
+    n_photons = fock.photon_number(n_photons, "n_photons")
     if basis is None:
         basis = fock_basis(n_photons)
-    if basis.cutoffs[ModeIndex.HH] < n_photons or basis.cutoffs[ModeIndex.VV] < n_photons:
+    elif basis.cutoffs[ModeIndex.HH] < n_photons or basis.cutoffs[ModeIndex.VV] < n_photons:
         raise SimulationError("cutoffs too small for the requested photon number")
     _check_ensemble_size(n_photons + 1, basis)
     n = np.arange(n_photons + 1)
@@ -164,8 +155,9 @@ def werner_fock(
     n_photons: int, p: float, basis: BasisConfig | None = None
 ) -> StateEnsemble:
     """Convex mixture p * entangled + (1-p) * dephased."""
-    if not (_is_finite(p, numbers.Real) and 0.0 <= p <= 1.0):
-        raise SimulationError(f"p={_shown(p)} outside [0, 1]")
+    n_photons = fock.photon_number(n_photons, "n_photons")
+    if not _in_unit_interval(p):
+        raise SimulationError(f"p={fock.shown(p)} outside [0, 1]")
     if basis is None:
         basis = fock_basis(n_photons)
     if p == 1.0:
@@ -185,7 +177,8 @@ def _on_source_modes(basis: BasisConfig, pair: np.ndarray) -> PureState:
     idx = [0] * basis.n_modes
     idx[ModeIndex.HH] = idx[ModeIndex.VV] = slice(None)
     amps[tuple(idx)] = pair
-    return PureState(basis, amps).normalized()
+    amps /= np.linalg.norm(amps)
+    return PureState(basis, amps)
 
 
 def _coherent_column(u: complex, cutoff: int) -> np.ndarray:
@@ -201,22 +194,29 @@ def _coherent_column(u: complex, cutoff: int) -> np.ndarray:
     return np.exp(0.5 * fock.log_poisson(mean, cutoff) + 1j * cmath.phase(u) * n)
 
 
-def _coherent_pair(basis: BasisConfig, u_hh: complex, u_vv: complex) -> PureState:
-    """Product of coherent states u_hh on Hh and u_vv on Vv, from closed form."""
-    cut = basis.cutoffs
-    column_hh = _coherent_column(u_hh, cut[ModeIndex.HH])
-    column_vv = _coherent_column(u_vv, cut[ModeIndex.VV])
-    return _on_source_modes(basis, np.multiply.outer(column_hh, column_vv))
+def _coherent_pairs(basis: BasisConfig, u_hh: complex, u_vv: list[complex]) -> list[PureState]:
+    """Products of a coherent state u_hh on Hh with each coherent state of u_vv
+    on Vv, from closed form."""
+    column_hh = _coherent_column(u_hh, basis.cutoffs[ModeIndex.HH])
+    cut_vv = basis.cutoffs[ModeIndex.VV]
+    return [
+        _on_source_modes(basis, np.multiply.outer(column_hh, _coherent_column(v, cut_vv)))
+        for v in u_vv
+    ]
 
 
 def pure_coherent(u: complex, basis: BasisConfig | None = None) -> StateEnsemble:
-    """Coherent state on the Psi+ mode: displacements u/sqrt(2) on Hh and Vv."""
+    """Coherent state on the Psi+ mode: displacements u/sqrt(2) on Hh and Vv.
+
+    A derived basis has room by construction; a given one is checked.
+    """
+    amp = fock.finite_complex(u, "u") / math.sqrt(2.0)
     if basis is None:
         basis = coherent_basis(fock.coherent_mean(u) / 2.0, fock.DEFAULT_EPS)
-    amp = u / math.sqrt(2.0)
-    fock.check_displacement_room(basis, ModeIndex.HH, amp)
-    fock.check_displacement_room(basis, ModeIndex.VV, amp)
-    return StateEnsemble.pure(_coherent_pair(basis, amp, amp))
+    else:
+        fock.check_displacement_room(basis, ModeIndex.HH, amp)
+        fock.check_displacement_room(basis, ModeIndex.VV, amp)
+    return StateEnsemble.pure(_coherent_pairs(basis, amp, [amp])[0])
 
 
 def mixed_coherent(
@@ -230,26 +230,32 @@ def mixed_coherent(
 
     Member k displaces Vv by u (sqrt(R) e^{i phi} + sqrt(1-R) e^{i theta_k})
     with theta_k uniform on the circle; the discrete average is exact for all
-    moments of trigonometric degree below the number of phase points.
+    moments of trigonometric degree below the number of phase points. A
+    derived basis has room for every member by construction; a given one is
+    checked.
     """
-    if not (_is_finite(reflectivity, numbers.Real) and 0.0 <= reflectivity <= 1.0):
-        raise SimulationError(f"reflectivity={_shown(reflectivity)} outside [0, 1]")
+    fock.finite_complex(u, "u")
+    if not _in_unit_interval(reflectivity):
+        raise SimulationError(f"reflectivity={fock.shown(reflectivity)} outside [0, 1]")
+    _check_phi(phi)
     # A bool is an Integral, but True and False are both below 5.
     if not isinstance(phase_points, numbers.Integral) or phase_points < 5:
-        raise SimulationError(f"phase_points={_shown(phase_points)} is not an integer >= 5")
+        raise SimulationError(f"phase_points={fock.shown(phase_points)} is not an integer >= 5")
     root_r = math.sqrt(reflectivity)
     root_t = math.sqrt(1.0 - reflectivity)
-    if basis is None:
-        max_mean = max(fock.coherent_mean(u), fock.coherent_mean(abs(u) * (root_r + root_t)))
-        basis = coherent_basis(max_mean, fock.DEFAULT_EPS)
-    fock.check_displacement_room(basis, ModeIndex.HH, u)
-    _check_ensemble_size(phase_points, basis)
     shift = root_r * cmath.exp(1j * phi)
     turns = (cmath.exp(2j * math.pi * k / phase_points) for k in range(phase_points))
     u_vv = [u * (shift + root_t * turn) for turn in turns]
-    # The Poisson tail grows with the mean, so the largest displacement needs the most room.
-    fock.check_displacement_room(basis, ModeIndex.VV, max(u_vv, key=abs))
-    return StateEnsemble(tuple((1.0 / phase_points, _coherent_pair(basis, u, v)) for v in u_vv))
+    if basis is None:
+        max_mean = max(fock.coherent_mean(u), fock.coherent_mean(abs(u) * (root_r + root_t)))
+        basis = coherent_basis(max_mean, fock.DEFAULT_EPS)
+    else:
+        fock.check_displacement_room(basis, ModeIndex.HH, u)
+        # The Poisson tail grows with the mean, so the largest displacement needs the most room.
+        fock.check_displacement_room(basis, ModeIndex.VV, max(u_vv, key=abs))
+    _check_ensemble_size(phase_points, basis)
+    weight = 1.0 / phase_points
+    return StateEnsemble(tuple((weight, s) for s in _coherent_pairs(basis, u, u_vv)))
 
 
 def two_mode_squeezed(zeta: complex, basis: BasisConfig | None = None) -> StateEnsemble:
@@ -257,11 +263,14 @@ def two_mode_squeezed(zeta: complex, basis: BasisConfig | None = None) -> StateE
 
     The state exp((zeta* a b - zeta a+ b+)/2)|0, 0> in closed form:
     sum_n (-e^{i theta} tanh r)^n / cosh r |n, n> with r = |zeta|/2 and
-    theta = arg zeta.
+    theta = arg zeta. A derived basis has room by construction; a given one
+    is checked.
     """
+    fock.finite_complex(zeta, "zeta")
     if basis is None:
         basis = squeezed_basis(zeta)
-    fock.check_squeezing_room(basis, ModeIndex.HH, ModeIndex.VV, zeta)
+    else:
+        fock.check_squeezing_room(basis, ModeIndex.HH, ModeIndex.VV, zeta)
     r = abs(zeta) / 2.0
     dims = (basis.dims[ModeIndex.HH], basis.dims[ModeIndex.VV])
     n = np.arange(min(dims))
@@ -362,6 +371,8 @@ class FamilyRoutes(NamedTuple):
     fock: Callable[[StateSpec, BasisConfig | None], StateEnsemble]
     #: The state's (G, K) in closed form.
     moments: Callable[[StateSpec], tuple[np.ndarray, np.ndarray]]
+    #: StateSpec fields the family takes besides the required ones.
+    optional: tuple[str, ...] = ()
 
 
 FAMILIES = {
@@ -389,6 +400,7 @@ FAMILIES = {
         ("u", "reflectivity"),
         lambda s, basis: mixed_coherent(s.u, s.reflectivity, s.phi, basis=basis),
         lambda s: _mixed_coherent_moments(s.u, s.reflectivity, s.phi),
+        ("phi",),
     ),
     Family.TWO_MODE_SQUEEZED_VACUUM: FamilyRoutes(
         ("zeta",),

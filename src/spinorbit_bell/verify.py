@@ -152,6 +152,11 @@ _CATALOG = (
 _Catalog = list[tuple[str, StateEnsemble, StateSpec]]
 
 
+def _cataloged(catalog: _Catalog, spec: StateSpec) -> StateEnsemble:
+    """The catalog's ensemble of a state it holds, with its moments cached."""
+    return next(ensemble for _, ensemble, held in catalog if held == spec)
+
+
 def _closed_form_checks(rng, catalog: _Catalog) -> list[CheckResult]:
     out = []
     for name, ensemble, spec in catalog:
@@ -170,7 +175,7 @@ def _closed_form_checks(rng, catalog: _Catalog) -> list[CheckResult]:
     return out
 
 
-def _s_value_checks() -> list[CheckResult]:
+def _s_value_checks(catalog: _Catalog) -> list[CheckResult]:
     cases = [
         ("entangled_fock N=1", states.entangled_fock(1), 2 * math.sqrt(2), 1e-10),
         ("mixed_fock N=3", states.mixed_fock(3), math.sqrt(2), 1e-10),
@@ -180,14 +185,24 @@ def _s_value_checks() -> list[CheckResult]:
             2.0,
             1e-10,
         ),
-        ("pure_coherent u=1.5", states.pure_coherent(1.5), 2 * math.sqrt(2), 1e-8),
+        (
+            "pure_coherent u=1.5",
+            _cataloged(catalog, StateSpec(Family.PURE_COHERENT, u=1.5)),
+            2 * math.sqrt(2),
+            1e-8,
+        ),
         (
             "mixed_coherent R=0.25",
             states.mixed_coherent(1.5, 0.25),
             1.5 * math.sqrt(2),
             1e-8,
         ),
-        ("two_mode_squeezed zeta=1", states.two_mode_squeezed(1.0), math.sqrt(2), 1e-8),
+        (
+            "two_mode_squeezed zeta=1",
+            _cataloged(catalog, StateSpec(Family.TWO_MODE_SQUEEZED_VACUUM, zeta=1.0)),
+            math.sqrt(2),
+            1e-8,
+        ),
     ]
     out = []
     for name, ensemble, expected, tol in cases:
@@ -254,8 +269,8 @@ def _misc_checks(rng, catalog: _Catalog) -> list[CheckResult]:
         s = Settings(rng.uniform(0, math.pi), rng.uniform(0, math.pi))
         total = analysis.noise_point(ensemble, s).var_m
         member_avg = sum(
-            w * analysis.noise_point(StateEnsemble.pure(m), s).var_m
-            for w, m in ensemble.members
+            w * analysis.noise_point(member, s).var_m
+            for (w, _), member in zip(ensemble.members, ensemble.member_moments)
         )
         worst = max(worst, member_avg - total)
     out.append(_check("mixture variance convexity", worst, 1e-9))
@@ -306,12 +321,7 @@ def _moment_core_check(rng) -> CheckResult:
     return _check("moment core vs Fock route (apply_one_body)", worst, 1e-10)
 
 
-def _expm_displaced(basis: BasisConfig, u_hh: complex, u_vv: complex) -> fock.PureState:
-    state = fock.displace(fock.vacuum(basis), ModeIndex.HH, u_hh)
-    return fock.displace(state, ModeIndex.VV, u_vv)
-
-
-def _gaussian_build_check(rng) -> CheckResult:
+def _gaussian_build_check(rng, catalog: _Catalog) -> CheckResult:
     """Closed-form Gaussian builds against exponentiating their generators.
 
     Each state is rebuilt on the same basis with ``fock.displace`` or
@@ -320,19 +330,22 @@ def _gaussian_build_check(rng) -> CheckResult:
     u = 1.5 - 0.5j
     pure = states.pure_coherent(u)
     amp = u / math.sqrt(2.0)
-    pairs = [(pure, StateEnsemble.pure(_expm_displaced(pure.basis, amp, amp)))]
+    on_hh = fock.displace(fock.vacuum(pure.basis), ModeIndex.HH, amp)
+    pairs = [(pure, StateEnsemble.pure(fock.displace(on_hh, ModeIndex.VV, amp)))]
 
     u, reflectivity, phi, k = 1.5, 0.3, 0.4, states.DEFAULT_PHASE_POINTS
     mixed = states.mixed_coherent(u, reflectivity, phi, k)
     root_r, root_t = math.sqrt(reflectivity), math.sqrt(1.0 - reflectivity)
+    # Every member shares the displacement of Hh.
+    on_hh = fock.displace(fock.vacuum(mixed.basis), ModeIndex.HH, u)
     members = []
     for j in range(k):
         u_vv = u * (root_r * cmath.exp(1j * phi) + root_t * cmath.exp(2j * math.pi * j / k))
-        members.append((1.0 / k, _expm_displaced(mixed.basis, u, u_vv)))
+        members.append((1.0 / k, fock.displace(on_hh, ModeIndex.VV, u_vv)))
     pairs.append((mixed, StateEnsemble(tuple(members))))
 
-    for zeta in (1.0, 1.2j):
-        squeezed = states.two_mode_squeezed(zeta)
+    squeezed_catalog = _cataloged(catalog, StateSpec(Family.TWO_MODE_SQUEEZED_VACUUM, zeta=1.0))
+    for zeta, squeezed in ((1.0, squeezed_catalog), (1.2j, states.two_mode_squeezed(1.2j))):
         vacuum = fock.vacuum(squeezed.basis)
         oracle = fock.two_mode_squeeze(vacuum, ModeIndex.HH, ModeIndex.VV, zeta)
         pairs.append((squeezed, StateEnsemble.pure(oracle)))
@@ -401,10 +414,10 @@ def run_verification() -> list[CheckResult]:
     results.extend(_partition_checks())
     results.extend(_apparatus_checks(rng))
     results.extend(_closed_form_checks(rng, catalog))
-    results.extend(_s_value_checks())
+    results.extend(_s_value_checks(catalog))
     results.extend(_misc_checks(rng, catalog))
     results.append(_moment_core_check(rng))
-    results.append(_gaussian_build_check(rng))
+    results.append(_gaussian_build_check(rng, catalog))
     results.append(_closed_form_moments_check(rng, catalog))
     return results
 

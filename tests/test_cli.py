@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -274,7 +275,7 @@ def test_yaml_1_2_floats(tmp_path, capsys):
     dotted = _chsh(tmp_path, capsys, state % "1.0e-12")
     assert plain[0] == 0
     assert plain == dotted
-    cfg = cli.parse_config("state: {family: mixed_fock, n: 2, p: 1e-1}", "chsh")
+    cfg = cli.parse_config("state: {family: werner_fock, n: 2, p: 1e-1}", "chsh")
     assert cfg.state.n == 2 and isinstance(cfg.state.n, int)
     assert cfg.state.p == 0.1
 
@@ -292,6 +293,33 @@ def test_fock_oracle_keys_are_unknown(tmp_path, capsys, key, state):
     rc, out, err = _chsh(tmp_path, capsys, f"state: {state}")
     assert (rc, out) == (2, "")
     assert f"config error: state.{key}: unknown key (strict mode)" in err
+
+
+@pytest.mark.parametrize(
+    "key,state",
+    [
+        ("reflectivity", "{family: entangled_fock, n: 2, zeta: 1.0, u: 3, reflectivity: 0.5}"),
+        ("zeta", "{family: entangled_fock, n: 2, zeta: 1.0}"),
+        ("p", "{family: mixed_fock, n: 2, p: 0.1}"),
+        ("phi", "{family: pure_coherent, u: 1.0, phi: 0.3}"),
+        ("n", "{family: two_mode_squeezed_vacuum, zeta: 1.0, n: 1}"),
+        ("u", "{family: werner_fock, n: 1, p: 0.5, u: 1.0}"),
+        ("zeta", "{family: mixed_coherent, u: 1.0, reflectivity: 0.5, zeta: 1.0}"),
+    ],
+)
+def test_key_of_another_family_is_refused(tmp_path, capsys, key, state):
+    # A parameter the family does not take would be ignored silently.
+    family = re.search(r"family: (\w+)", state)[1]
+    rc, out, err = _chsh(tmp_path, capsys, f"state: {state}")
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"config error: state.{key}: not a parameter of {family}")
+
+
+def test_phi_is_a_parameter_of_mixed_coherent():
+    cfg = cli.parse_config(
+        "state: {family: mixed_coherent, u: 1.0, reflectivity: 0.5, phi: pi/4}", "chsh"
+    )
+    assert cfg.state.phi == pytest.approx(math.pi / 4)
 
 
 @pytest.mark.parametrize(

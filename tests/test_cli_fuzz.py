@@ -3,7 +3,8 @@
 Every generated ``chsh``, ``noise-scan`` or ``mode-pattern`` config must end
 in one of two ways: exit 0 with strict, finite output, or exit 2, 3 or 4 with
 a classified message and no traceback. Now and then the config's bytes are
-spoiled before ``cli.main`` reads them, which must be a config error. An
+spoiled before ``cli.main`` reads them, or the state carries a key of another
+family; either must be a config error. An
 uncaught exception, or a warning (pytest turns warnings into errors), fails
 the test.
 """
@@ -71,7 +72,7 @@ _STATE_KEYS = {
     "zeta": _amplitude(40.0),
 }
 
-#: The keys a config for each family usually carries.
+#: The keys a config for each family usually carries: all that it takes.
 _FAMILY_KEYS = {
     "entangled_fock": ("n",),
     "mixed_fock": ("n",),
@@ -101,7 +102,19 @@ def _state(draw):
     doc = draw(_mapping({"family": st.just(family), **keys}))
     if isinstance(doc, dict) and _one_in(draw, 10):
         doc["family"] = draw(st.sampled_from(["", "fock", 3]))
+    elif isinstance(doc, dict) and _one_in(draw, 5):
+        key = draw(st.sampled_from(sorted(set(_STATE_KEYS) - set(_FAMILY_KEYS[family]))))
+        doc[key] = draw(_STATE_KEYS[key])
     return doc
+
+
+def _foreign_state_key(doc: dict) -> bool:
+    """Whether the config's state names a family and a key that the family does not take."""
+    state = doc.get("state")
+    family = state.get("family") if isinstance(state, dict) else None
+    if not isinstance(family, str) or family not in _FAMILY_KEYS:
+        return False
+    return bool(set(state) - {"family", *_FAMILY_KEYS[family]})
 
 
 @st.composite
@@ -210,7 +223,7 @@ def test_every_config_ends_classified(run):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main([mode, "--config", str(cfgfile)])
-    if spoiled:
+    if spoiled or _foreign_state_key(doc):
         assert rc == 2, err.getvalue()
         assert err.getvalue().startswith("config error: ")
     if rc == 0:

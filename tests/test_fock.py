@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -318,7 +319,7 @@ class TestMoments:
             members.append((w, PureState(basis, amps / np.linalg.norm(amps))))
         return StateEnsemble(tuple(members))
 
-    @pytest.mark.parametrize(
+    BUILDS = pytest.mark.parametrize(
         "build",
         [
             lambda: states.werner_fock(3, 0.4),
@@ -327,6 +328,8 @@ class TestMoments:
         ],
         ids=["werner N=3 p=0.4", "mixed_coherent K=8", "random 3 members"],
     )
+
+    @BUILDS
     def test_batched_matches_member_loop(self, build):
         ensemble = build()
         g, gamma = fock.moments(ensemble)
@@ -334,6 +337,26 @@ class TestMoments:
         bound = 1e-13 * max(1.0, float(ref_g.trace().real))
         assert np.max(np.abs(g - ref_g)) < bound
         assert np.max(np.abs(gamma - ref_gamma)) < bound
+
+    @BUILDS
+    def test_member_moments(self, build):
+        # Each member's moments are its own, and their weighted sum is the ensemble's.
+        ensemble = build()
+        total = ensemble.moments
+        bound = 1e-13 * max(1.0, total.itot)
+
+        def gamma(m):
+            return m.k + m.g[:, None, :, None] * m.g[None, :, None, :]
+
+        assert len(ensemble.member_moments) == len(ensemble.members)
+        sum_g, sum_gamma = 0.0, 0.0
+        for (w, s), m in zip(ensemble.members, ensemble.member_moments):
+            alone = StateEnsemble.pure(s).moments
+            assert np.max(np.abs(m.g - alone.g)) < bound
+            assert np.max(np.abs(m.k - alone.k)) < bound
+            sum_g, sum_gamma = sum_g + w * m.g, sum_gamma + w * gamma(m)
+        assert np.max(np.abs(sum_g - total.g)) < bound
+        assert np.max(np.abs(sum_gamma - gamma(total))) < bound
 
     def test_all_cutoffs_zero(self):
         g, gamma = fock.moments(StateEnsemble.pure(fock.vacuum(BasisConfig((0, 0)))))
@@ -552,6 +575,21 @@ def random_interior_state(rng, basis, top=3):
     return PureState(basis, amps / np.linalg.norm(amps))
 
 
+def squeeze_norm(basis, mode_a, mode_b, zeta):
+    """The bound |zeta| sqrt(c_A c_B) on the norm of the squeezing generator."""
+    return abs(zeta) * math.sqrt(basis.cutoffs[mode_a] * basis.cutoffs[mode_b])
+
+
+def pair_norm(basis, mode_a, mode_b, c_a, c_b):
+    """The bound 2 (|c_A| sqrt(c_A) + |c_B| sqrt(c_B)) on the joint displacement's generator."""
+    cut = basis.cutoffs
+    return 2.0 * (abs(c_a) * math.sqrt(cut[mode_a]) + abs(c_b) * math.sqrt(cut[mode_b]))
+
+
+#: Room for squeezing at |zeta| = 1.4, where the generator's norm bound exceeds 40.
+WIDE = BasisConfig((30, 1, 30))
+
+
 class TestExponentialRoundTrips:
     """exp(A) then exp(-A) is the identity on the truncated space."""
 
@@ -582,6 +620,35 @@ class TestExponentialRoundTrips:
         out = fock.displace_pair_generator(state, 2, 0, 0.6, -0.3j)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
         back = fock.displace_pair_generator(out, 2, 0, -0.6, 0.3j)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("coeff", [1e-300, 1e-17, 1e-15j])
+    def test_displace_pair_generator_near_zero(self, coeff):
+        state = random_interior_state(np.random.default_rng(16), self.BASIS)
+        out = fock.displace_pair_generator(state, 0, 2, coeff, 0.0)
+        assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-14
+
+    # Generators whose norm bound is below 1 or above 40, on states that fill every chain.
+    @pytest.mark.parametrize(
+        "basis,zeta", [(BASIS, 0.05 - 0.03j), (WIDE, 1.4 * cmath.exp(0.3j))], ids=["<1", ">=40"]
+    )
+    def test_two_mode_squeeze_filled(self, basis, zeta):
+        assert not 1.0 <= squeeze_norm(basis, 0, 2, zeta) < 40.0
+        state = random_interior_state(np.random.default_rng(14), basis, top=basis.dims[0])
+        out = fock.two_mode_squeeze(state, 0, 2, zeta)
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        back = fock.two_mode_squeeze(out, 0, 2, -zeta)
+        assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "basis,coeffs", [(BASIS, (0.05, -0.03j)), (WIDE, (2 + 1j, -1.5 + 1j))], ids=["<1", ">=40"]
+    )
+    def test_displace_pair_generator_filled(self, basis, coeffs):
+        assert not 1.0 <= pair_norm(basis, 2, 0, *coeffs) < 40.0
+        state = random_interior_state(np.random.default_rng(15), basis, top=basis.dims[0])
+        out = fock.displace_pair_generator(state, 2, 0, *coeffs)
+        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        back = fock.displace_pair_generator(out, 2, 0, *(-c for c in coeffs))
         assert np.max(np.abs(back.amplitudes - state.amplitudes)) < 1e-12
 
 
@@ -631,6 +698,45 @@ class TestAgainstScipy:
             ref = _on_pair(state, mode_a, mode_b, lambda rows: expm_multiply(sparse, rows))
             out = fock.two_mode_squeeze(state, mode_a, mode_b, zeta)
             assert np.max(np.abs(out.amplitudes - ref)) < 1e-12, (mode_a, mode_b)
+
+    @pytest.mark.parametrize(
+        "basis,zeta", [(BASIS, 0.05 - 0.03j), (WIDE, 1.4 * cmath.exp(0.3j))], ids=["<1", ">=40"]
+    )
+    def test_two_mode_squeeze_norm_extremes(self, basis, zeta):
+        sp = pytest.importorskip("scipy.sparse")
+        expm_multiply = pytest.importorskip("scipy.sparse.linalg").expm_multiply
+        assert not 1.0 <= squeeze_norm(basis, 0, 2, zeta) < 40.0
+        state = random_interior_state(np.random.default_rng(24), basis, top=basis.dims[0])
+        pair_down = sp.kron(_ladder(basis.dims[0]), _ladder(basis.dims[2]), format="csc")
+        gen = (np.conj(zeta) / 2.0) * pair_down - (zeta / 2.0) * pair_down.conj().T
+        ref = _on_pair(state, 0, 2, lambda rows: expm_multiply(gen, rows))
+        out = fock.two_mode_squeeze(state, 0, 2, zeta)
+        assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "basis,coeffs", [(BASIS, (0.05, -0.03j)), (WIDE, (2 + 1j, -1.5 + 1j))], ids=["<1", ">=40"]
+    )
+    def test_displace_pair_generator_norm_extremes(self, basis, coeffs):
+        sp = pytest.importorskip("scipy.sparse")
+        expm_multiply = pytest.importorskip("scipy.sparse.linalg").expm_multiply
+        assert not 1.0 <= pair_norm(basis, 0, 2, *coeffs) < 40.0
+        state = random_interior_state(np.random.default_rng(25), basis, top=basis.dims[0])
+        (c_a, c_b), da, db = coeffs, basis.dims[0], basis.dims[2]
+        a = sp.kron(_ladder(da), np.eye(db), format="csc")
+        b = sp.kron(np.eye(da), _ladder(db), format="csc")
+        gen = c_a * a.T + c_b * b.T - np.conj(c_a) * a - np.conj(c_b) * b
+        ref = _on_pair(state, 0, 2, lambda rows: expm_multiply(gen, rows))
+        out = fock.displace_pair_generator(state, 0, 2, c_a, c_b)
+        assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 2.0, 24.0, 44.0, 700.0])
+    def test_bessel_series(self, x):
+        # Far past x the recurrence would overflow without its rescaling.
+        jv = pytest.importorskip("scipy.special").jv
+        values = fock._bessel_j(x)
+        assert values.size > x
+        assert np.max(np.abs(values - jv(np.arange(values.size), x))) < 1e-13
+        assert abs(jv(values.size, x)) < fock._ROUND_OFF
 
     def test_displace_pair_generator(self):
         expm = pytest.importorskip("scipy.linalg").expm

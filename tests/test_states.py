@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorbit_bell import analysis, fock, states
+from spinorbit_bell import analysis, fock, partitions, states
 from spinorbit_bell.apparatus import DEFAULT_CHSH_SETTINGS, Settings
 from spinorbit_bell.errors import SimulationError, TruncationError
 from spinorbit_bell.fock import BasisConfig, ModeIndex
+from spinorbit_bell.partitions import BellModeLabel
 from spinorbit_bell.states import Family, StateSpec
 
 
@@ -304,6 +305,60 @@ class TestSpecValidation:
     def test_integer_types_accepted(self):
         assert type(StateSpec(Family.MIXED_FOCK, n=np.int64(3)).n) is int
         assert StateSpec(Family.MIXED_FOCK, n=0).n == 0
+
+
+_PSI_PLUS_BASIS = BasisConfig((3, 0, 0, 3))
+
+
+class TestBuilderArguments:
+    """The Fock builders refuse what StateSpec refuses, naming the argument."""
+
+    @pytest.mark.parametrize(
+        "name,build",
+        [
+            ("u", lambda: states.pure_coherent("1")),
+            ("zeta", lambda: states.two_mode_squeezed("1")),
+            ("u", lambda: states.mixed_coherent("1", 0.5)),
+            ("n_photons", lambda: states.entangled_fock("2")),
+            ("u", lambda: states.pure_coherent(10**400)),
+            ("n_photons", lambda: states.mixed_fock(True)),
+            ("n_photons", lambda: states.entangled_fock(2.5)),
+            ("n_photons", lambda: states.werner_fock(-1, 0.5)),
+            ("zeta", lambda: states.two_mode_squeezed(complex(math.nan, 0.0))),
+            ("phi", lambda: states.mixed_coherent(1.0, 0.5, "0.3")),
+            (
+                "n_photons",
+                lambda: partitions.fock_on_bell_mode("2", BellModeLabel.PSI_PLUS, _PSI_PLUS_BASIS),
+            ),
+            (
+                "u",
+                lambda: partitions.coherent_on_bell_mode(
+                    "1", BellModeLabel.PSI_PLUS, _PSI_PLUS_BASIS
+                ),
+            ),
+        ],
+        ids=[
+            "pure_coherent-str",
+            "two_mode_squeezed-str",
+            "mixed_coherent-str",
+            "entangled_fock-str",
+            "pure_coherent-huge-int",
+            "mixed_fock-bool",
+            "entangled_fock-float",
+            "werner_fock-negative",
+            "two_mode_squeezed-nan",
+            "mixed_coherent-phi-str",
+            "fock_on_bell_mode-str",
+            "coherent_on_bell_mode-str",
+        ],
+    )
+    def test_refused_by_name(self, name, build):
+        with pytest.raises(SimulationError, match=f"^{name}="):
+            build()
+
+    def test_integer_types_accepted(self):
+        assert len(states.mixed_fock(np.int64(2)).members) == 3
+        assert states.pure_coherent(1).basis == states.pure_coherent(1.0).basis
 
 
 def _family_specs():
