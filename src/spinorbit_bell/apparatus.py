@@ -13,12 +13,13 @@ regression check of that reduction.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import DOMAINS, SimulationError, checked
 from .fock import OneBodyOperator
 
 
@@ -30,8 +31,15 @@ class Settings:
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise SimulationError("settings must be finite")
+        # The domain of an angle, written out rather than through errors.checked:
+        # every evaluated setting constructs one, and checked costs twice as much.
+        try:
+            if math.isfinite(self.alpha) and math.isfinite(self.beta):
+                if type(self.alpha) is not bool and type(self.beta) is not bool:
+                    return
+        except (TypeError, OverflowError):  # not a real number; an int beyond the float range
+            pass
+        raise SimulationError("settings must be finite real numbers")
 
 
 @dataclass(frozen=True)
@@ -44,10 +52,8 @@ class ChshSettings:
     beta_prime: float
 
     def __post_init__(self):
-        if not all(
-            math.isfinite(x) for x in (self.alpha, self.alpha_prime, self.beta, self.beta_prime)
-        ):
-            raise SimulationError("settings must be finite")
+        for field in dataclasses.fields(self):
+            checked(field.name, getattr(self, field.name), DOMAINS["angle"])
 
     def pairs(self) -> tuple[Settings, Settings, Settings, Settings]:
         """Setting pairs in the order (a,b), (a,b'), (a',b), (a',b')."""

@@ -30,7 +30,7 @@ import yaml
 
 from . import analysis, modes, states, verify
 from .apparatus import ChshSettings, DEFAULT_CHSH_SETTINGS
-from .errors import ConfigError, SimulationError, TruncationError
+from .errors import DOMAINS, ConfigError, SimulationError, TruncationError, checked
 from .partitions import BellModeLabel
 from .states import Family, StateSpec
 
@@ -74,62 +74,31 @@ _Loader.add_implicit_resolver(
 )
 
 
-def _finite(value, field: str) -> float:
-    """float(value); a NaN or infinite value is a ConfigError naming the field."""
+def _checked(field: str, value, domain=None):
+    """``errors.checked`` of value under the field's last name; a refusal is a
+    ConfigError naming the field."""
     try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
-    if not math.isfinite(x):
-        raise ConfigError(field, f"expected a finite number, got {value!r}")
-    return x
-
-
-def _number(value, field: str, low, high=math.inf, integer=False, open_low=False):
-    """A finite number in [low, high], or (low, high] if ``open_low``.
-
-    With ``integer`` only ints are accepted; bools never are.
-    """
-    kind = "an integer" if integer else "a real"
-    bounds = f"{'(' if open_low else '['}{low:g}, {high:g}{']' if high < math.inf else ')'}"
-    if isinstance(value, int if integer else (int, float)) and not isinstance(value, bool):
-        x = value if integer else _finite(value, field)
-        if (low < x if open_low else low <= x) and x <= high:
-            return x
-    raise ConfigError(field, f"expected {kind} in {bounds}, got {value!r}")
+        return checked(field.rpartition(".")[2], value, domain)
+    except SimulationError as exc:
+        raise ConfigError(field, str(exc)) from None
 
 
 def parse_angle(value, field: str) -> float:
-    """Radians from a finite number or a pi-rational literal like '3pi/8'."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _finite(value, field)
-    if isinstance(value, str):
-        m = _PI_LITERAL.match(value)
-        if m:
-            sign = -1.0 if m.group(1) else 1.0
-            num = float(m.group(2)) if m.group(2) else 1.0
-            den = float(m.group(3)) if m.group(3) else 1.0
-            if den == 0.0:
-                raise ConfigError(field, f"zero denominator in angle {value!r}")
-            return _finite(sign * num * math.pi / den, field)
+    """Radians from a finite number, or from text: a decimal or a pi-rational
+    literal like '3pi/8'."""
+    if isinstance(value, str) and (m := _PI_LITERAL.match(value)):
+        sign = -1.0 if m.group(1) else 1.0
+        num = float(m.group(2)) if m.group(2) else 1.0
+        den = float(m.group(3)) if m.group(3) else 1.0
+        if den == 0.0:
+            raise ConfigError(field, f"zero denominator in angle {value!r}")
+        value = sign * num * math.pi / den
+    elif isinstance(value, str):
         try:
-            angle = float(value)
+            value = float(value)
         except ValueError:
             raise ConfigError(field, f"cannot parse angle {value!r}") from None
-        return _finite(angle, field)
-    raise ConfigError(field, f"expected an angle, got {type(value).__name__}")
-
-
-def _parse_complex(value, field: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(_finite(value, field))
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            re_part, im_part = (float(v) for v in value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(field, f"cannot parse complex {value!r}") from None
-        return complex(_finite(re_part, field), _finite(im_part, field))
-    raise ConfigError(field, "expected a number or a [re, im] pair")
+    return _checked(field, value, DOMAINS["angle"])
 
 
 def _section(doc, field: str, required=(), optional=()) -> dict:
@@ -182,14 +151,20 @@ class RunConfig:
     format: str
 
 
-#: Numeric state keys: (low, high, integer, open_low) as taken by ``_number``.
-_STATE_NUMBERS = {
-    "n": (0, math.inf, True, False),
-    "p": (0.0, 1.0, False, False),
-    "reflectivity": (0.0, 1.0, False, False),
-}
+_STATE_KEYS = {field.name for field in dataclasses.fields(StateSpec)}
 
-_STATE_KEYS = {"family", "u", "phi", "zeta", *_STATE_NUMBERS}
+
+def _state_value(key: str, value):
+    """A state value as a Python number where YAML cannot write one: an
+    [re, im] pair becomes a complex number, and an angle is parsed as one."""
+    if isinstance(value, list) and len(value) == 2:
+        try:
+            return complex(*(float(v) for v in value))
+        except (TypeError, ValueError, OverflowError):
+            return value
+    if DOMAINS[key] is DOMAINS["angle"]:
+        return parse_angle(value, f"state.{key}")
+    return value
 
 
 def _parse_state(doc) -> StateSpec:
@@ -201,19 +176,11 @@ def _parse_state(doc) -> StateSpec:
     if foreign:
         raise ConfigError(f"state.{min(foreign)}", f"not a parameter of {family.value}")
     kwargs = {
-        key: _number(doc[key], f"state.{key}", *bounds)
-        for key, bounds in _STATE_NUMBERS.items()
-        if key in doc
+        key: _checked(f"state.{key}", _state_value(key, value))
+        for key, value in doc.items()
+        if key != "family"
     }
-    for key in ("u", "zeta"):
-        if key in doc:
-            kwargs[key] = _parse_complex(doc[key], f"state.{key}")
-    if "phi" in doc:
-        kwargs["phi"] = parse_angle(doc["phi"], "state.phi")
-    try:
-        return StateSpec(family, **kwargs)
-    except SimulationError as exc:
-        raise ConfigError("state", str(exc)) from None
+    return StateSpec(family, **kwargs)
 
 
 def _parse_chsh_settings(doc) -> ChshSettings:
@@ -230,7 +197,7 @@ def _check_grid_size(points: int, field: str) -> None:
 def _parse_axis(doc, field: str) -> tuple[float, float, int]:
     """(start, stop, points) of one scan axis."""
     doc = _section(doc, field, ("start", "stop", "points"))
-    points = _number(doc["points"], f"{field}.points", 1, integer=True)
+    points = _checked(f"{field}.points", doc["points"])
     _check_grid_size(points, f"{field}.points")
     start = parse_angle(doc["start"], f"{field}.start")
     stop = parse_angle(doc["stop"], f"{field}.stop")
@@ -249,11 +216,8 @@ def _parse_scan_grid(doc) -> ScanGrid:
 def _parse_pattern(doc) -> PatternSpec:
     doc = _section(doc, "pattern", ("label",), ("extent", "resolution"))
     label = _member(BellModeLabel, doc, "pattern", "label")
-    # The grid spans [-extent, extent]; its length must stay finite.
-    extent = _number(
-        doc.get("extent", 2.0), "pattern.extent", 0.0, sys.float_info.max / 2, open_low=True
-    )
-    resolution = _number(doc.get("resolution", 21), "pattern.resolution", 1, integer=True)
+    extent = _checked("pattern.extent", doc.get("extent", 2.0))
+    resolution = _checked("pattern.resolution", doc.get("resolution", 21))
     _check_grid_size(resolution**2, "pattern.resolution")
     return PatternSpec(label, extent, resolution)
 

@@ -21,7 +21,6 @@ import cmath
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,39 +34,6 @@ DEFAULT_EPS = 1e-10
 
 #: Hard cap on state-vector length; guards against accidental huge bases.
 MAX_DIMENSION = 4_000_000
-
-
-def is_finite_number(value, kind: type = numbers.Complex) -> bool:
-    """Whether value is a finite number of the kind (Real, Complex), and not a bool."""
-    try:
-        return isinstance(value, kind) and not isinstance(value, bool) and cmath.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def shown(value) -> str:
-    """repr(value) for a refusal message, or its type where repr raises: an int
-    longer than ``sys.get_int_max_str_digits()`` has no repr."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"<{type(value).__name__} too long to show>"
-
-
-def photon_number(value, name: str) -> int:
-    """value as a Python int; SimulationError naming it unless it is a
-    nonnegative integer, which a bool is not."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
-        raise SimulationError(f"{name}={shown(value)} is not a nonnegative integer")
-    # A Python int, so that N(N-1) cannot wrap around as a fixed-width one would.
-    return int(value)
-
-
-def finite_complex(value, name: str):
-    """value itself; SimulationError naming it unless it is a finite complex number."""
-    if not is_finite_number(value):
-        raise SimulationError(f"{name}={shown(value)} is not a finite complex number")
-    return value
 
 
 class ModeIndex(enum.IntEnum):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import SimulationError, checked
 from .partitions import BELL_MODES, BellModeLabel
 
 #: Normalization giving unit transverse power: integral of x^2 e^{-r^2} is pi/2.
@@ -80,12 +80,7 @@ def sample_polarization_grid(label: BellModeLabel, extent: float, resolution: in
     The grid spans [-extent, extent] in both coordinates with `resolution`
     points per axis. Returns the flat arrays (x, y, E_H, E_V), x varying fastest.
     """
-    if extent <= 0.0:
-        raise SimulationError("grid extent must be positive")
-    if not math.isfinite(2.0 * extent):
-        raise SimulationError("coordinates must be finite")
-    if resolution <= 0:
-        raise SimulationError("grid resolution must be positive")
+    extent, resolution = checked("extent", extent), checked("resolution", resolution)
     axis = np.linspace(-extent, extent, resolution) if resolution > 1 else np.array([0.0])
     y, x = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
     return (x, y, *eval_vector_mode(bell_coefficients(label), x, y))

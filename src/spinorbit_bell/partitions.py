@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import fock
-from .errors import SimulationError
+from .errors import DOMAINS, SimulationError, checked
 from .fock import BasisConfig, ModeIndex, PureState
 
 
@@ -57,7 +57,7 @@ def fock_on_bell_mode(n_photons: int, label: BellModeLabel, basis: BasisConfig) 
     The expansion is binomial: sqrt(N!/2^N / (n! (N-n)!)) on |n, N-n> over the
     constituent pair, times s_a^n s_b^(N-n) for the pair's coefficient signs.
     """
-    n_photons = fock.photon_number(n_photons, "n_photons")
+    n_photons = checked("n_photons", n_photons, DOMAINS["n"])
     (ma, sa), (mb, sb) = _constituents(label)
     if basis.cutoffs[ma] < n_photons or basis.cutoffs[mb] < n_photons:
         raise SimulationError(
@@ -100,7 +100,7 @@ def coherent_on_bell_mode(u: complex, label: BellModeLabel, basis: BasisConfig) 
     Since the constituent annihilators commute, the Bell-mode displacement
     factorizes into displacements by +-u/sqrt(2) on the pair.
     """
-    amp = fock.finite_complex(u, "u") / math.sqrt(2.0)
+    amp = checked("u", u) / math.sqrt(2.0)
     state = fock.vacuum(basis)
     for mode, sign in _constituents(label):
         state = fock.displace(state, mode, sign * amp)

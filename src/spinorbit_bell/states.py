@@ -22,17 +22,17 @@ basis for room only when the caller gives one.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import enum
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fock
-from .errors import SimulationError, TruncationError
+from .errors import DOMAINS, SimulationError, TruncationError, checked
 from .fock import BasisConfig, ModeIndex, Moments, PureState, StateEnsemble
 from .partitions import BELL_MODES, BellModeLabel, fock_on_bell_mode
 
@@ -60,18 +60,11 @@ class Family(enum.Enum):
     TWO_MODE_SQUEEZED_VACUUM = "two_mode_squeezed_vacuum"
 
 
-def _in_unit_interval(value) -> bool:
-    return fock.is_finite_number(value, numbers.Real) and 0.0 <= value <= 1.0
-
-
-def _check_phi(phi) -> None:
-    if not fock.is_finite_number(phi, numbers.Real):
-        raise SimulationError(f"phi={fock.shown(phi)} is not a finite real number")
-
-
 @dataclass(frozen=True)
 class StateSpec:
-    """Family plus its parameters; the unit of CLI configuration."""
+    """Family plus its parameters; the unit of CLI configuration. Each given
+    parameter is checked against, and stored as the Python type of, its
+    ``errors.DOMAINS`` entry; every parameter the family requires is given."""
 
     family: Family
     n: int | None = None
@@ -82,16 +75,12 @@ class StateSpec:
     zeta: complex | None = None
 
     def __post_init__(self):
-        if self.n is not None:
-            object.__setattr__(self, "n", fock.photon_number(self.n, "n"))
-        for name in ("p", "reflectivity"):
-            value = getattr(self, name)
-            if value is not None and not _in_unit_interval(value):
-                raise SimulationError(f"{name}={fock.shown(value)} is not a number in [0, 1]")
-        _check_phi(self.phi)
-        for name in ("u", "zeta"):
-            if getattr(self, name) is not None:
-                fock.finite_complex(getattr(self, name), name)
+        for field in dataclasses.fields(self)[1:]:
+            if (value := getattr(self, field.name)) is not None:
+                object.__setattr__(self, field.name, checked(field.name, value))
+        for name in FAMILIES[self.family].required:
+            if getattr(self, name) is None:
+                raise SimulationError(f"family {self.family.value} requires parameter {name!r}")
 
 
 def _source_basis(source_cutoff: int) -> BasisConfig:
@@ -126,7 +115,7 @@ def _check_ensemble_size(members: int, basis: BasisConfig) -> None:
 
 def entangled_fock(n_photons: int, basis: BasisConfig | None = None) -> StateEnsemble:
     """N photons coherently shared between Hh and Vv (Fock state on Psi+)."""
-    n_photons = fock.photon_number(n_photons, "n_photons")
+    n_photons = checked("n_photons", n_photons, DOMAINS["n"])
     if basis is None:
         basis = fock_basis(n_photons)
     return StateEnsemble.pure(fock_on_bell_mode(n_photons, BellModeLabel.PSI_PLUS, basis))
@@ -138,7 +127,7 @@ def binomial_weights(n_photons: int) -> list[float]:
 
 def mixed_fock(n_photons: int, basis: BasisConfig | None = None) -> StateEnsemble:
     """Fully dephased N-photon state: binomial mixture of |n, N-n> splits."""
-    n_photons = fock.photon_number(n_photons, "n_photons")
+    n_photons = checked("n_photons", n_photons, DOMAINS["n"])
     if basis is None:
         basis = fock_basis(n_photons)
     elif basis.cutoffs[ModeIndex.HH] < n_photons or basis.cutoffs[ModeIndex.VV] < n_photons:
@@ -155,9 +144,8 @@ def werner_fock(
     n_photons: int, p: float, basis: BasisConfig | None = None
 ) -> StateEnsemble:
     """Convex mixture p * entangled + (1-p) * dephased."""
-    n_photons = fock.photon_number(n_photons, "n_photons")
-    if not _in_unit_interval(p):
-        raise SimulationError(f"p={fock.shown(p)} outside [0, 1]")
+    n_photons = checked("n_photons", n_photons, DOMAINS["n"])
+    p = checked("p", p)
     if basis is None:
         basis = fock_basis(n_photons)
     if p == 1.0:
@@ -210,7 +198,7 @@ def pure_coherent(u: complex, basis: BasisConfig | None = None) -> StateEnsemble
 
     A derived basis has room by construction; a given one is checked.
     """
-    amp = fock.finite_complex(u, "u") / math.sqrt(2.0)
+    amp = checked("u", u) / math.sqrt(2.0)
     if basis is None:
         basis = coherent_basis(fock.coherent_mean(u) / 2.0, fock.DEFAULT_EPS)
     else:
@@ -234,13 +222,10 @@ def mixed_coherent(
     derived basis has room for every member by construction; a given one is
     checked.
     """
-    fock.finite_complex(u, "u")
-    if not _in_unit_interval(reflectivity):
-        raise SimulationError(f"reflectivity={fock.shown(reflectivity)} outside [0, 1]")
-    _check_phi(phi)
-    # A bool is an Integral, but True and False are both below 5.
-    if not isinstance(phase_points, numbers.Integral) or phase_points < 5:
-        raise SimulationError(f"phase_points={fock.shown(phase_points)} is not an integer >= 5")
+    u = checked("u", u)
+    reflectivity = checked("reflectivity", reflectivity)
+    phi = checked("phi", phi)
+    phase_points = checked("phase_points", phase_points)
     root_r = math.sqrt(reflectivity)
     root_t = math.sqrt(1.0 - reflectivity)
     shift = root_r * cmath.exp(1j * phi)
@@ -266,7 +251,7 @@ def two_mode_squeezed(zeta: complex, basis: BasisConfig | None = None) -> StateE
     theta = arg zeta. A derived basis has room by construction; a given one
     is checked.
     """
-    fock.finite_complex(zeta, "zeta")
+    zeta = checked("zeta", zeta)
     if basis is None:
         basis = squeezed_basis(zeta)
     else:
@@ -410,14 +395,6 @@ FAMILIES = {
 }
 
 
-def _routes(spec: StateSpec) -> FamilyRoutes:
-    routes = FAMILIES[spec.family]
-    for name in routes.required:
-        if getattr(spec, name) is None:
-            raise SimulationError(f"family {spec.family.value} requires parameter {name!r}")
-    return routes
-
-
 def build(spec: StateSpec) -> Moments:
     """The moments of the state described by a StateSpec, in closed form.
 
@@ -426,10 +403,9 @@ def build(spec: StateSpec) -> Moments:
     their oracle, which only ``basis`` and ``members`` build. Moments beyond
     the float range raise TruncationError.
     """
-    routes = _routes(spec)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            g, k = routes.moments(spec)
+            g, k = FAMILIES[spec.family].moments(spec)
     except OverflowError:
         raise TruncationError("the moments of the state are beyond the float range") from None
     return Moments(g, k, oracle=functools.partial(fock_ensemble, spec))
@@ -439,4 +415,4 @@ def fock_ensemble(spec: StateSpec, basis: BasisConfig | None = None) -> StateEns
     """The state described by a StateSpec as a Fock ensemble: the oracle for
     :func:`build`. The basis defaults to the family's own cutoffs, guarded by
     ``fock.MAX_DIMENSION`` and ``MAX_ENSEMBLE_AMPLITUDES``."""
-    return _routes(spec).fock(spec, basis)
+    return FAMILIES[spec.family].fock(spec, basis)

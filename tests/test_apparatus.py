@@ -128,3 +128,22 @@ def test_chsh_settings_must_be_finite(field, value):
     angles[field] = value
     with pytest.raises(SimulationError):
         ChshSettings(**angles)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta",
+    [("a", 0.0), (0.0, "b"), (10**400, 0.0), (0.0, -(10**400)), (True, 0.0), (0.0, False), (1j, 0.0)],
+    ids=["str", "str-beta", "huge-int", "huge-int-beta", "bool", "bool-beta", "complex"],
+)
+def test_settings_refuse_what_is_not_a_finite_real(alpha, beta):
+    with pytest.raises(SimulationError, match="^settings must be finite real numbers$"):
+        Settings(alpha, beta)
+
+
+@pytest.mark.parametrize("field", ["alpha", "alpha_prime", "beta", "beta_prime"])
+@pytest.mark.parametrize("value", ["a", 10**400, True, 1j], ids=["str", "huge-int", "bool", "complex"])
+def test_chsh_settings_refuse_what_is_not_a_finite_real(field, value):
+    angles = dict(alpha=0.1, alpha_prime=0.2, beta=0.3, beta_prime=0.4)
+    angles[field] = value
+    with pytest.raises(SimulationError, match=f"^{field}="):
+        ChshSettings(**angles)

@@ -1,5 +1,7 @@
-"""Every YAML example in README.md runs through ``cli.main`` and exits 0."""
+"""Every YAML example in README.md runs through ``cli.main`` and exits 0, and
+the README's list of state-parameter domains is ``errors.DOMAINS``."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -7,6 +9,8 @@ import pytest
 import yaml
 
 from spinorbit_bell import cli
+from spinorbit_bell.errors import DOMAINS
+from spinorbit_bell.states import StateSpec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 EXAMPLES = re.findall(r"^```yaml\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
@@ -31,3 +35,11 @@ def test_readme_example_runs(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out
+
+
+def test_readme_lists_each_state_parameter_domain():
+    # The README's list of state parameters, as "- `key` (what it is): domain".
+    section = README.read_text(encoding="utf-8").split("State-family parameters:")[1]
+    listed = dict(re.findall(r"^- `(\w+)` \([^)]*\): (.+)$", section.split("\n\n")[1], re.M))
+    fields = {f.name for f in dataclasses.fields(StateSpec)} - {"family"}
+    assert listed == {key: DOMAINS[key].wording for key in fields}
